@@ -17,6 +17,7 @@
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -153,10 +154,11 @@ int main(int argc, char** argv) {
               clauses_match ? "MATCH" : "MISMATCH");
 
   // --------------------------------------------- ground-thread scaling
-  // The per-rule semi-naive passes of each fixpoint round run on the
-  // thread pool against a frozen snapshot and merge deterministically, so
-  // the network must be identical at every thread count; the wall time is
-  // what scales (flat on a 1-core container — see docs/benchmarks.md).
+  // The per-rule semi-naive passes of each fixpoint round run on an
+  // injected pool of N executors against a frozen snapshot and merge
+  // deterministically, so the network must be identical at every N; the
+  // wall time is what scales (flat on a 1-core container — see
+  // docs/benchmarks.md).
   Table scale_table(
       {"ground threads", "time ms", "speedup", "network (equal)"});
   {
@@ -169,8 +171,9 @@ int main(int argc, char** argv) {
     bool scale_match = true;
     for (int threads : {1, 2, 4}) {
       datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen_scale);
+      util::ThreadPool pool(threads);
       ground::GroundingOptions options;
-      options.num_threads = threads;
+      options.pool = &pool;
       size_t atoms = 0, clauses = 0;
       const double ms =
           GroundOnce(&kg, scaling_rules, options, &atoms, &clauses);

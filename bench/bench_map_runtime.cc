@@ -33,6 +33,7 @@
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -168,15 +169,16 @@ int main(int argc, char** argv) {
     double base_objective = 0.0;
     bool objectives_match = true;
     for (int threads : {1, 2, 4}) {
+      util::ThreadPool pool(threads);
       mln::MlnSolverOptions mln_options;
-      mln_options.num_threads = threads;
+      mln_options.pool = &pool;
       Timer mln_timer;
       mln::MlnMapSolver mln_solver(grounding->network, mln_options);
       auto mln_solution = mln_solver.Solve();
       if (!mln_solution.ok()) return 1;
       const double mln_ms = mln_timer.ElapsedMillis();
       psl::PslSolverOptions psl_options;
-      psl_options.num_threads = threads;
+      psl_options.pool = &pool;
       Timer psl_timer;
       psl::PslSolver psl_solver(grounding->network, psl_options);
       auto psl_solution = psl_solver.Solve();

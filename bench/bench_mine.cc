@@ -22,6 +22,7 @@
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace tecore;  // NOLINT
@@ -69,8 +70,9 @@ int main(int argc, char** argv) {
 
     // Parallel load: same input, chunked. On a 1-core CI box the time is
     // flat; the byte-identity assertion below is the point.
+    util::ThreadPool four(4);
     rdf::ParseOptions par;
-    par.num_threads = 4;
+    par.pool = &four;
     Timer par_timer;
     auto parallel = rdf::ParseGraphText(text, par);
     const double par_ms = par_timer.ElapsedMillis();
@@ -81,7 +83,9 @@ int main(int argc, char** argv) {
     const bool load_identical =
         rdf::WriteGraphText(*serial) == rdf::WriteGraphText(*parallel);
 
+    util::ThreadPool sequential(1);
     mine::MiningOptions options;
+    options.pool = &sequential;
     Timer mine_timer;
     const mine::MiningReport report = mine::Miner(options).Mine(*serial);
     const double mine_ms = mine_timer.ElapsedMillis();
@@ -91,8 +95,9 @@ int main(int argc, char** argv) {
     // Determinism: mined document byte-identical at 1, 2 and 4 threads.
     bool mine_identical = true;
     for (int threads : {2, 4}) {
+      util::ThreadPool pool(threads);
       mine::MiningOptions threaded = options;
-      threaded.num_threads = threads;
+      threaded.pool = &pool;
       const mine::MiningReport again =
           mine::Miner(threaded).Mine(*parallel);
       mine_identical = mine_identical &&

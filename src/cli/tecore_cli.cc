@@ -9,10 +9,10 @@
 //   tecore-cli validate --rules r.tcr --solver psl
 //   tecore-cli detect   --graph g.tq --rules r.tcr
 //   tecore-cli solve    --graph g.tq --rules r.tcr --solver mln
-//                       [--threshold 0.5] [--threads N] [--out repaired.tq]
+//                       [--threshold 0.5] [--out repaired.tq]
 //                       [--edits script.tq]
 //   tecore-cli mine     --graph g.tq [--out rules.tcr] [--min-support N]
-//                       [--min-confidence X] [--max-patterns N] [--threads N]
+//                       [--min-confidence X] [--max-patterns N]
 //   tecore-cli gen      --dataset football|wikidata|example --out g.tq [--size N]
 //   tecore-cli serve    [--port 8080] [--kb name] [--graph g.tq]
 //                       [--rules r.tcr] [--auth-token-file f]
@@ -71,26 +71,22 @@ int Usage() {
                "<stats|complete|suggest|mine|validate|detect|solve|gen|serve"
                "|kb|version>\n"
                "                  [--graph f] [--rules f] [--solver mln|psl]"
-               " [--threshold x] [--threads n]\n"
-               "                  [--ground-threads n] [--edits f] [--out f]"
-               " [--dataset d] [--size n] [--prefix p]\n"
+               " [--threshold x] [--edits f]\n"
+               "                  [--out f] [--dataset d] [--size n]"
+               " [--prefix p]\n"
                "  mine               mine temporal constraints from the KB"
                " itself and emit them as a\n"
                "                     weighted .tcr rule file (--graph g.tq"
                " [--out f.tcr] [--min-support n]\n"
                "                     [--min-confidence x] [--max-patterns n]"
-               " [--threads n]; docs/mining.md;\n"
-               "                     output is byte-identical at every"
-               " --threads value)\n"
-               "  --threads n        executors for per-component MAP solving"
-               " (0 = auto)\n"
-               "  --ground-threads n executors for the semi-naive grounding"
-               " passes (0 = auto)\n"
+               "; docs/mining.md)\n"
                "  --edits f          solve, then apply the edit script"
                " ('+ fact' inserts, '- fact' retracts)\n"
                "                     and re-solve incrementally (only dirty"
                " components are re-solved)\n"
-               "  results are bit-identical for every thread count and for"
+               "  grounding, solving and mining run on one shared compute"
+               " pool; results are\n"
+               "                     bit-identical on any core count and for"
                " incremental vs full re-solve\n"
                "  serve              start the multi-tenant /v1 JSON HTTP"
                " service ([--host h] [--port n]\n"
@@ -327,7 +323,7 @@ int main(int argc, char** argv) {
   if (command == "mine") {
     if (!ParseFlags(argc, argv, 2,
                     {"graph", "out", "min-support", "min-confidence",
-                     "max-patterns", "threads"},
+                     "max-patterns"},
                     &flags)) {
       return Usage();
     }
@@ -362,18 +358,9 @@ int main(int argc, char** argv) {
       }
       options.max_patterns = static_cast<size_t>(value);
     }
-    if (flags.count("threads") &&
-        !ParseIntFlag(flags["threads"], &options.num_threads)) {
-      std::fprintf(stderr, "invalid --threads value '%s'\n",
-                   flags["threads"].c_str());
-      return 2;
-    }
-    // The same thread budget drives the chunked parallel load; both are
-    // deterministic, so the emitted document is byte-identical at any
-    // --threads value.
-    rdf::ParseOptions parse_options;
-    parse_options.num_threads = options.num_threads;
-    auto graph = rdf::LoadGraphFile(graph_it->second, parse_options);
+    // Chunked parallel load on the compute pool; like mining itself it is
+    // deterministic, so the emitted document is byte-identical on any box.
+    auto graph = rdf::LoadGraphFile(graph_it->second, rdf::ParseOptions());
     if (!graph.ok()) {
       std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
       return 1;
@@ -436,8 +423,7 @@ int main(int argc, char** argv) {
   }
 
   if (command == "detect") {
-    if (!ParseFlags(argc, argv, 2, {"graph", "rules", "ground-threads"},
-                    &flags)) {
+    if (!ParseFlags(argc, argv, 2, {"graph", "rules"}, &flags)) {
       return Usage();
     }
     Status st = LoadInputs(flags, &session, /*need_rules=*/true);
@@ -445,14 +431,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    ground::GroundingOptions grounding;
-    if (flags.count("ground-threads") &&
-        !ParseIntFlag(flags["ground-threads"], &grounding.num_threads)) {
-      std::fprintf(stderr, "invalid --ground-threads value '%s'\n",
-                   flags["ground-threads"].c_str());
-      return 2;
-    }
-    auto report = session.DetectConflicts(grounding);
+    auto report = session.DetectConflicts();
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
@@ -463,8 +442,8 @@ int main(int argc, char** argv) {
 
   if (command == "solve") {
     if (!ParseFlags(argc, argv, 2,
-                    {"graph", "rules", "solver", "threshold", "threads",
-                     "ground-threads", "edits", "out"},
+                    {"graph", "rules", "solver", "threshold", "edits",
+                     "out"},
                     &flags)) {
       return Usage();
     }
@@ -479,18 +458,6 @@ int main(int argc, char** argv) {
     }
     if (flags.count("threshold")) {
       options.derived_threshold = std::stod(flags["threshold"]);
-    }
-    if (flags.count("threads") &&
-        !ParseIntFlag(flags["threads"], &options.num_threads)) {
-      std::fprintf(stderr, "invalid --threads value '%s'\n",
-                   flags["threads"].c_str());
-      return 2;
-    }
-    if (flags.count("ground-threads") &&
-        !ParseIntFlag(flags["ground-threads"], &options.ground_threads)) {
-      std::fprintf(stderr, "invalid --ground-threads value '%s'\n",
-                   flags["ground-threads"].c_str());
-      return 2;
     }
     auto run = [&]() -> Result<core::ResolveResult> {
       if (!flags.count("edits")) return session.Resolve(options);

@@ -33,10 +33,6 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
   std::vector<double> soft_truth;  // PSL only
   if (options.solver == rules::SolverKind::kMln) {
     mln::MlnSolverOptions mln_options = options.mln;
-    // 0 means "inherit": keep a directly-set solver option.
-    if (options.num_threads != 0) {
-      mln_options.num_threads = options.num_threads;
-    }
     mln_options.component_cache = mln_cache;
     mln::MlnMapSolver solver(net, mln_options);
     TECORE_ASSIGN_OR_RETURN(solution, solver.Solve());
@@ -56,9 +52,6 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
     }
   } else {
     psl::PslSolverOptions psl_options = options.psl;
-    if (options.num_threads != 0) {
-      psl_options.num_threads = options.num_threads;
-    }
     psl_options.component_cache = psl_cache;
     psl::PslSolver solver(net, psl_options);
     TECORE_ASSIGN_OR_RETURN(solution, solver.Solve());
@@ -148,14 +141,9 @@ Resolver::Resolver(rdf::TemporalGraph* graph, const rules::RuleSet& rules,
 
 Result<ResolveResult> Resolver::Run() {
   Timer total_timer;
-  ground::GroundingOptions grounding = options_.grounding;
-  // 0 means "inherit": keep a directly-set grounding option.
-  if (options_.ground_threads != 0) {
-    grounding.num_threads = options_.ground_threads;
-  }
   TECORE_ASSIGN_OR_RETURN(
-      translation,
-      Translator::Translate(graph_, rules_, options_.solver, grounding));
+      translation, Translator::Translate(graph_, rules_, options_.solver,
+                                         options_.grounding));
   TECORE_ASSIGN_OR_RETURN(
       result, SolveAndAssemble(graph_, translation.grounding.network,
                                options_, nullptr, nullptr));
@@ -172,11 +160,7 @@ IncrementalResolver::IncrementalResolver(rdf::TemporalGraph* graph,
 Result<ResolveResult> IncrementalResolver::Initialize() {
   Timer total_timer;
   TECORE_RETURN_NOT_OK(rules::ValidateRuleSet(rules_, options_.solver));
-  ground::GroundingOptions grounding = options_.grounding;
-  if (options_.ground_threads != 0) {
-    grounding.num_threads = options_.ground_threads;
-  }
-  ground::IncrementalGrounder grounder(graph_, rules_, grounding);
+  ground::IncrementalGrounder grounder(graph_, rules_, options_.grounding);
   TECORE_ASSIGN_OR_RETURN(stats, grounder.Initialize(&state_));
   TECORE_ASSIGN_OR_RETURN(
       result, SolveAndAssemble(graph_, state_.network, options_, &mln_cache_,
@@ -195,11 +179,7 @@ Result<ResolveResult> IncrementalResolver::ApplyEdits(
   }
   Timer total_timer;
   TECORE_RETURN_NOT_OK(ApplyGraphEdits(edits, graph_).status());
-  ground::GroundingOptions grounding = options_.grounding;
-  if (options_.ground_threads != 0) {
-    grounding.num_threads = options_.ground_threads;
-  }
-  ground::IncrementalGrounder grounder(graph_, rules_, grounding);
+  ground::IncrementalGrounder grounder(graph_, rules_, options_.grounding);
   TECORE_ASSIGN_OR_RETURN(stats, grounder.Update(&state_));
   last_update_stats_ = stats;
   TECORE_ASSIGN_OR_RETURN(

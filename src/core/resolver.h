@@ -27,21 +27,12 @@ struct ResolveOptions {
   /// Derived facts with a confidence score below this are removed from the
   /// output graph (the paper's threshold feature); 0 keeps everything.
   double derived_threshold = 0.0;
-  /// Executors for per-component MAP solving, forwarded to the MLN/PSL
-  /// solver options: 0 = auto (hardware threads), 1 = sequential. Results
-  /// are deterministic for any value.
-  int num_threads = 0;
-  /// Executors for the semi-naive grounding passes, forwarded to
-  /// `grounding.num_threads` when nonzero (0 keeps a directly-set
-  /// grounding option, which itself defaults to auto). The ground network
-  /// is bit-identical for any value.
-  int ground_threads = 0;
 };
 
 /// \brief Result-relevant equality of resolve configurations: true when a
 /// result computed under `a` is reusable for a request under `b` (every
-/// knob that can change a solver's output is compared; thread counts are
-/// excluded on purpose — results are thread-count-independent by
+/// knob that can change a solver's output is compared; the executor pools
+/// are excluded on purpose — results are pool-size-independent by
 /// contract). Gates the incremental-state reuse in Session/Engine and the
 /// snapshot solve cache.
 bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b);

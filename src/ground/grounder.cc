@@ -1,7 +1,6 @@
 #include "ground/grounder.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -219,10 +218,9 @@ class GroundingEngine {
     // and each grounding is derived exactly once, so pass outputs can be
     // replayed in canonical order with no cross-pass dedup. The naive
     // ablation path shares one dedup set across rules and stays sequential.
-    const int ground_threads = util::ResolveThreadCount(options_.num_threads);
-    const bool parallel = options_.semi_naive && ground_threads > 1;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (parallel) pool = std::make_unique<util::ThreadPool>(ground_threads);
+    util::ThreadPool& pool =
+        options_.pool != nullptr ? *options_.pool : util::ComputePool();
+    const bool parallel = options_.semi_naive && pool.num_threads() > 1;
     AtomId delta_begin = initial_delta_begin;
     size_t prev_atoms = 0, prev_clauses = 0;
     for (int round = 0; round < options_.max_rounds; ++round) {
@@ -230,7 +228,7 @@ class GroundingEngine {
       const bool body_less_round = round == 0 && fire_body_less;
       const AtomId round_limit = static_cast<AtomId>(net_->NumAtoms());
       if (parallel) {
-        TECORE_RETURN_NOT_OK(GroundRoundParallel(pool.get(), delta_begin,
+        TECORE_RETURN_NOT_OK(GroundRoundParallel(&pool, delta_begin,
                                                  round_limit,
                                                  body_less_round));
       } else {

@@ -10,6 +10,7 @@
 #include "rdf/graph.h"
 #include "rules/ast.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace ground {
@@ -37,14 +38,14 @@ struct GroundingOptions {
   /// cross-round dedup set is needed. Disable only for the naive-vs-delta
   /// equivalence ablation; results are identical by construction.
   bool semi_naive = true;
-  /// Executors for the per-rule semi-naive passes of each fixpoint round:
-  /// 0 = auto (hardware threads), 1 = sequential. Passes match against a
-  /// frozen snapshot of the round's network and their emissions are merged
-  /// in canonical rule-then-pass-then-binding order, so the resulting
-  /// GroundNetwork is bit-identical (atom ids, clauses, weights) for every
-  /// thread count. Only the semi-naive path parallelizes; the naive
+  /// Executors for the per-rule semi-naive passes of each fixpoint round;
+  /// null means util::ComputePool(). A test seam only: passes match against
+  /// a frozen snapshot of the round's network and their emissions are
+  /// merged in canonical rule-then-pass-then-binding order, so the
+  /// resulting GroundNetwork is bit-identical (atom ids, clauses, weights)
+  /// for every pool size. Only the semi-naive path parallelizes; the naive
   /// ablation path always runs sequentially.
-  int num_threads = 0;
+  util::ThreadPool* pool = nullptr;
   /// Finish with GroundNetwork::Canonicalize: the network becomes a pure
   /// function of its content, independent of discovery order. This is the
   /// precondition of the incremental re-solve determinism contract (an

@@ -192,7 +192,8 @@ MiningReport Miner::Mine(const rdf::TemporalGraph& graph) const {
   }
   report.predicates_profiled = preds.size();
 
-  util::ThreadPool pool(util::ResolveThreadCount(options_.num_threads));
+  util::ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : util::ComputePool();
 
   // ---- stage 1: per-predicate profiles, one pre-sized slot per task.
   // Counters are order-independent sums and ExactSum is associative, so

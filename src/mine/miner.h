@@ -7,6 +7,7 @@
 
 #include "rdf/graph.h"
 #include "rules/ast.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace mine {
@@ -38,8 +39,8 @@ namespace mine {
 /// `WriteMinedRulesText` renders — is a pure function of graph *content*
 /// and options. All counters are exact integers, candidates are assembled
 /// and ranked in a canonical order, and parallel mining merges per-task
-/// slots in task order, so the output bytes are identical at any
-/// `num_threads` (including 0 = auto).
+/// slots in task order, so the output bytes are identical for any
+/// executor count.
 
 /// \brief Mining thresholds and execution knobs.
 struct MiningOptions {
@@ -60,9 +61,9 @@ struct MiningOptions {
   /// larger buckets are profiled for precedence but skip pair counting
   /// (the report counts them — no silent truncation).
   size_t max_bucket_facts = 512;
-  /// Executors for the profiling passes (0 = auto). Output bytes are
-  /// identical for every value.
-  int num_threads = 1;
+  /// Executors for the profiling passes; null means util::ComputePool().
+  /// A test seam only: output bytes are identical for every pool size.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// \brief Which pattern family produced a mined rule.

@@ -118,10 +118,8 @@ Result<MlnSolution> MlnMapSolver::Solve() {
       }
     }
   }
-  // Never spawn more executors than there are components to solve.
-  util::ThreadPool pool(static_cast<int>(
-      std::min<size_t>(util::ResolveThreadCount(options_.num_threads),
-                       std::max<size_t>(components.size(), 1))));
+  util::ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : util::ComputePool();
   pool.ParallelFor(components.size(), [&](size_t i) {
     const ground::Component& component = components[i];
     if (component.clause_indices.empty()) {

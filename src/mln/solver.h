@@ -11,6 +11,7 @@
 #include "maxsat/exact.h"
 #include "maxsat/local_search.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace mln {
@@ -57,11 +58,11 @@ struct MlnSolverOptions {
   /// Solve each connected component separately (A3 ablation toggle; the
   /// monolithic path is exponentially slower on anything non-trivial).
   bool use_components = true;
-  /// Executors for per-component solving: 0 = auto (hardware threads),
-  /// 1 = sequential. Components are independent by construction and every
-  /// backend is deterministic given its options, so the merged solution is
-  /// bit-identical for any thread count.
-  int num_threads = 0;
+  /// Executors for per-component solving; null means util::ComputePool().
+  /// A test seam only: components are independent by construction and
+  /// every backend is deterministic given its options, so the merged
+  /// solution is bit-identical for any pool size.
+  util::ThreadPool* pool = nullptr;
   maxsat::ExactSolverOptions exact;
   maxsat::WalkSatOptions walksat;
   ilp::BranchBoundSolver::Options ilp;

@@ -9,6 +9,7 @@
 #include "psl/admm.h"
 #include "psl/hlmrf.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace psl {
@@ -43,10 +44,10 @@ struct PslSolverOptions {
   /// Per-component runs converge in fewer iterations and solve
   /// concurrently; disable to reproduce pre-decomposition outputs.
   bool use_components = true;
-  /// Executors for per-component ADMM: 0 = auto (hardware threads),
-  /// 1 = sequential. Deterministic for any thread count (results are
-  /// scattered into pre-sized vectors and reduced in component order).
-  int num_threads = 0;
+  /// Executors for per-component ADMM; null means util::ComputePool(). A
+  /// test seam only: results are scattered into pre-sized vectors and
+  /// reduced in component order, so they are identical for any pool size.
+  util::ThreadPool* pool = nullptr;
   /// Optional per-component ADMM cache (see PslComponentCache); only
   /// consulted on the per-component path. Not owned.
   PslComponentCache* component_cache = nullptr;

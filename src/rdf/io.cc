@@ -200,7 +200,8 @@ Result<TemporalGraph> ParseGraphText(std::string_view text,
   // ParseFactText only *interns* into the sharded dictionary — the one
   // mutation TemporalGraph supports concurrently — and buffers the facts;
   // the appends happen single-threaded below, in chunk order.
-  util::ThreadPool pool(util::ResolveThreadCount(options.num_threads));
+  util::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : util::ComputePool();
   pool.ParallelFor(chunks.size(), [&](size_t ci) {
     const Chunk& chunk = chunks[ci];
     ChunkResult& out = results[ci];

@@ -5,6 +5,7 @@
 
 #include "rdf/graph.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace rdf {
@@ -29,15 +30,15 @@ namespace rdf {
 
 /// \brief Parsing knobs for whole-document loads.
 struct ParseOptions {
-  /// Executors for parsing + interning (0 = auto). The document is split
-  /// into newline-aligned chunks at *fixed byte targets* (a function of
-  /// the input alone, never of the thread count), chunks are parsed and
-  /// interned concurrently against the sharded dictionary, and facts are
-  /// appended in chunk order — so fact ids, the serialized graph bytes
-  /// and every canonical output are identical for every value here. Term
-  /// ids may differ across thread counts (interning interleaves), which
-  /// no canonical output depends on.
-  int num_threads = 1;
+  /// Executors for parsing + interning; null means util::ComputePool(). A
+  /// test seam only. The document is split into newline-aligned chunks at
+  /// *fixed byte targets* (a function of the input alone, never of the
+  /// executor count), chunks are parsed and interned concurrently against
+  /// the sharded dictionary, and facts are appended in chunk order — so
+  /// fact ids, the serialized graph bytes and every canonical output are
+  /// identical for every pool. Term ids may differ across executor counts
+  /// (interning interleaves), which no canonical output depends on.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// \brief Parse a whole ".tq" document into a graph.

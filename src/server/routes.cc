@@ -605,16 +605,52 @@ HttpResponse DispatchEndpoint(std::shared_ptr<api::Engine> engine,
                    request.method.c_str(), kb.c_str(), endpoint.c_str())));
 }
 
-/// Legacy endpoints of the single-KB protocol, still served (against the
-/// default KB) but marked deprecated.
-bool IsLegacyEndpoint(const std::string& endpoint) {
-  static const char* kLegacy[] = {"graph",     "rules", "solve",
-                                  "edits",     "conflicts", "stats",
-                                  "complete",  "suggest", "mine"};
-  for (const char* name : kLegacy) {
+/// The endpoints DispatchEndpoint serves under /v1/kb/{name}/.
+bool IsKbEndpoint(const std::string& endpoint) {
+  static const char* kEndpoints[] = {"graph",    "rules",   "solve",
+                                     "edits",    "conflicts", "stats",
+                                     "complete", "suggest", "mine",
+                                     "subscribe"};
+  for (const char* name : kEndpoints) {
     if (endpoint == name) return true;
   }
   return false;
+}
+
+/// Legacy endpoints of the single-KB protocol, still served (against the
+/// default KB) but marked deprecated: every per-KB endpoint except the
+/// streaming one, which postdates the legacy paths.
+bool IsLegacyEndpoint(const std::string& endpoint) {
+  return endpoint != "subscribe" && IsKbEndpoint(endpoint);
+}
+
+/// Where a request path routes. ScopeFor, EndpointLabel and
+/// HandleApiRequest all derive from this one parse, so auth, metrics and
+/// dispatch cannot disagree about a path.
+struct Route {
+  enum Kind { kNone, kKbCollection, kKbItem, kKbEndpoint, kLegacy };
+  Kind kind = kNone;     // kNone: unrouted (404)
+  std::string kb;        // the default KB for kLegacy
+  std::string endpoint;  // may be unknown under kKbEndpoint (404)
+};
+
+Route ParseRoute(const std::string& path, const std::string& default_kb) {
+  if (path == "/v1/kb") return {Route::kKbCollection, "", ""};
+  const std::string_view kb_prefix = "/v1/kb/";
+  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
+    const std::string rest = path.substr(kb_prefix.size());
+    const size_t slash = rest.find('/');
+    const std::string kb = rest.substr(0, slash);
+    if (kb.empty()) return {};  // "/v1/kb/", "/v1/kb//stats"
+    if (slash == std::string::npos) return {Route::kKbItem, kb, ""};
+    return {Route::kKbEndpoint, kb, rest.substr(slash + 1)};
+  }
+  const std::string_view v1_prefix = "/v1/";
+  if (path.compare(0, v1_prefix.size(), v1_prefix) == 0 &&
+      IsLegacyEndpoint(path.substr(v1_prefix.size()))) {
+    return {Route::kLegacy, default_kb, path.substr(v1_prefix.size())};
+  }
+  return {};
 }
 
 // ------------------------------------------------------- observability
@@ -633,61 +669,6 @@ HttpResponse HandleMetrics(const HttpRequest& request) {
   return out;
 }
 
-/// The auth scope a path resolves to; mirrors the routing below. Admin
-/// scope covers tenant lifecycle (the /v1/kb collection, DELETE of a KB)
-/// and every unrouted path — so a per-KB token probing outside its KB
-/// sees 403, never 404.
-AuthScope ScopeFor(const HttpRequest& request,
-                   const std::string& default_kb) {
-  AuthScope scope;
-  const std::string& path = request.path;
-  if (path == "/v1/kb") {
-    scope.admin = true;
-    return scope;
-  }
-  const std::string_view kb_prefix = "/v1/kb/";
-  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
-    const std::string rest = path.substr(kb_prefix.size());
-    const size_t slash = rest.find('/');
-    scope.kb = rest.substr(0, slash);
-    if (slash == std::string::npos) {
-      // KB item: reading the digest is KB-scoped, deleting is admin.
-      scope.admin = request.method != "GET";
-    }
-    return scope;
-  }
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, v1_prefix.size(), v1_prefix) == 0 &&
-      IsLegacyEndpoint(path.substr(v1_prefix.size()))) {
-    scope.kb = default_kb;
-    return scope;
-  }
-  scope.admin = true;
-  return scope;
-}
-
-/// Bounded-cardinality endpoint label for request metrics: one of the
-/// known per-KB endpoint names, "kb" for tenant lifecycle, "metrics",
-/// or "other" — never raw request paths (KB names and typo'd paths must
-/// not mint new series).
-std::string EndpointLabel(const std::string& path) {
-  if (path == "/metrics") return "metrics";
-  if (path == "/v1/kb") return "kb";
-  std::string endpoint;
-  const std::string_view kb_prefix = "/v1/kb/";
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
-    const std::string rest = path.substr(kb_prefix.size());
-    const size_t slash = rest.find('/');
-    if (slash == std::string::npos) return "kb";
-    endpoint = rest.substr(slash + 1);
-  } else if (path.compare(0, v1_prefix.size(), v1_prefix) == 0) {
-    endpoint = path.substr(v1_prefix.size());
-  }
-  if (IsLegacyEndpoint(endpoint) || endpoint == "subscribe") return endpoint;
-  return "other";
-}
-
 const char* StatusClass(int status) {
   if (status >= 500) return "5xx";
   if (status >= 400) return "4xx";
@@ -696,6 +677,26 @@ const char* StatusClass(int status) {
 }
 
 }  // namespace
+
+AuthScope ScopeFor(const HttpRequest& request,
+                   const std::string& default_kb) {
+  const Route route = ParseRoute(request.path, default_kb);
+  AuthScope scope;
+  scope.kb = route.kb;
+  // Reading a KB's digest is KB-scoped, deleting it is admin.
+  scope.admin = route.kb.empty() ||
+                (route.kind == Route::kKbItem && request.method != "GET");
+  return scope;
+}
+
+std::string EndpointLabel(const std::string& path) {
+  if (path == "/metrics") return "metrics";
+  const Route route = ParseRoute(path, "");
+  if (route.kind == Route::kKbCollection || route.kind == Route::kKbItem) {
+    return "kb";
+  }
+  return IsKbEndpoint(route.endpoint) ? route.endpoint : "other";
+}
 
 HttpResponse HandleApiRequest(api::EngineRegistry* registry,
                               const RouterOptions& options,
@@ -709,53 +710,44 @@ HttpResponse HandleApiRequest(api::EngineRegistry* registry,
                                 request);
   if (!auth.ok()) return ErrorResponse(auth);
 
-  const std::string& path = request.path;
-  // /v1/kb … tenant lifecycle and per-KB endpoints.
-  if (path == "/v1/kb") return HandleKbCollection(registry, request);
-  const std::string_view kb_prefix = "/v1/kb/";
-  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
-    std::string rest = path.substr(kb_prefix.size());
-    const size_t slash = rest.find('/');
-    const std::string name = rest.substr(0, slash);
-    if (name.empty()) {
-      return ErrorResponse(Status::NotFound("missing kb name in path"));
+  const Route route = ParseRoute(request.path, options.default_kb);
+  switch (route.kind) {
+    case Route::kKbCollection:
+      return HandleKbCollection(registry, request);
+    case Route::kKbItem:
+      return HandleKbItem(registry, route.kb, request);
+    case Route::kKbEndpoint: {
+      auto engine = registry->Get(route.kb);
+      if (!engine.ok()) return ErrorResponse(engine.status());
+      return DispatchEndpoint(std::move(*engine), route.kb, route.endpoint,
+                              request);
     }
-    if (slash == std::string::npos) {
-      return HandleKbItem(registry, name, request);
-    }
-    const std::string endpoint = rest.substr(slash + 1);
-    auto engine = registry->Get(name);
-    if (!engine.ok()) return ErrorResponse(engine.status());
-    return DispatchEndpoint(std::move(*engine), name, endpoint, request);
-  }
-
-  // Legacy single-KB paths: /v1/<endpoint> → the default KB, plus a
-  // deprecation pointer at the tenant-scoped successor.
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, v1_prefix.size(), v1_prefix) == 0) {
-    const std::string endpoint = path.substr(v1_prefix.size());
-    if (IsLegacyEndpoint(endpoint)) {
+    case Route::kLegacy: {
+      // Legacy single-KB paths: /v1/<endpoint> → the default KB, plus a
+      // deprecation pointer at the tenant-scoped successor.
       auto engine = registry->Get(options.default_kb);
       if (!engine.ok()) {
         return ErrorResponse(Status::NotFound(StringPrintf(
             "legacy path %s needs the default kb '%s', which does not exist",
-            path.c_str(), options.default_kb.c_str())));
+            request.path.c_str(), options.default_kb.c_str())));
       }
       HttpResponse out = DispatchEndpoint(std::move(*engine),
-                                          options.default_kb, endpoint,
+                                          options.default_kb, route.endpoint,
                                           request);
       out.headers.emplace_back("Deprecation", "true");
       out.headers.emplace_back(
           "Link", StringPrintf("</v1/kb/%s/%s>; rel=\"successor-version\"",
                                options.default_kb.c_str(),
-                               endpoint.c_str()));
+                               route.endpoint.c_str()));
       return out;
     }
+    case Route::kNone:
+      break;
   }
-
   return ErrorResponse(
       Status::NotFound(StringPrintf("no such endpoint: %s %s",
-                                    request.method.c_str(), path.c_str())));
+                                    request.method.c_str(),
+                                    request.path.c_str())));
 }
 
 HttpHandler MakeApiHandler(api::EngineRegistry* registry,

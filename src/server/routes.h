@@ -68,6 +68,18 @@ HttpResponse HandleApiRequest(api::EngineRegistry* registry,
                               const RouterOptions& options,
                               const HttpRequest& request);
 
+/// \brief The auth scope a request needs. Admin scope covers tenant
+/// lifecycle (the /v1/kb collection, DELETE of a KB) and every path that
+/// names no KB — so a per-KB token probing outside its KB sees 403, never
+/// 404. Derived from the same path parse as dispatch.
+AuthScope ScopeFor(const HttpRequest& request, const std::string& default_kb);
+
+/// \brief Bounded-cardinality endpoint label for request metrics: a
+/// per-KB endpoint name the path routes to, "kb" for tenant lifecycle,
+/// "metrics", or "other" for everything else — never raw request paths
+/// (KB names and typo'd paths must not mint new series).
+std::string EndpointLabel(const std::string& path);
+
 /// \brief Handler closure for HttpServer. `registry` must outlive the
 /// server. The closure wraps HandleApiRequest with per-request
 /// instrumentation: request counters and latency histograms labeled by

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace tecore {
 namespace util {
@@ -37,14 +38,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mutex_);
-  while (in_flight_ != 0) all_done_.Wait(mutex_);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -58,32 +53,52 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      MutexLock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.NotifyAll();
-    }
   }
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t executors =
-      std::min(static_cast<size_t>(num_threads()), n);
-  if (executors <= 1) {
+  const size_t helpers = std::min(workers_.size(), n == 0 ? 0 : n - 1);
+  if (helpers == 0) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Shared atomic counter: each executor claims the next unprocessed index
-  // until the range is exhausted. Component sizes are heavy-tailed, so
-  // index-at-a-time claiming doubles as load balancing.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  auto drain = [next, n, &fn] {
-    size_t i;
-    while ((i = next->fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
+  // Per-call state, shared with the helpers: one that runs after this
+  // call returned finds the range empty and never dereferences `fn`.
+  // Index-at-a-time claiming doubles as load balancing (component sizes
+  // are heavy-tailed).
+  struct Call {
+    std::atomic<size_t> next{0};
+    Mutex mutex;
+    CondVar all_done;
+    size_t done TECORE_GUARDED_BY(mutex) = 0;  // finished indices
   };
-  for (size_t t = 0; t + 1 < executors; ++t) Submit(drain);
+  auto call = std::make_shared<Call>();
+  auto drain = [call, n, fn = &fn] {
+    Call& c = *call;
+    size_t ran = 0;
+    size_t i;
+    while ((i = c.next.fetch_add(1, std::memory_order_relaxed)) < n) {
+      (*fn)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    MutexLock lock(c.mutex);
+    c.done += ran;
+    if (c.done == n) c.all_done.NotifyAll();
+  };
+  for (size_t h = 0; h < helpers; ++h) Submit(drain);
   drain();  // the calling thread participates
-  Wait();
+  // Wait only for indices other executors claimed.
+  Call& c = *call;
+  MutexLock lock(c.mutex);
+  while (c.done != n) c.all_done.Wait(c.mutex);
+}
+
+ThreadPool& ComputePool() {
+  // Leaked on purpose: workers may still be parked at exit, and joining
+  // them from a static destructor would race other teardown.
+  static ThreadPool* const pool = new ThreadPool(HardwareThreads());
+  return *pool;
 }
 
 }  // namespace util

@@ -38,14 +38,18 @@ class ThreadPool {
   /// \brief Enqueue one task for the worker threads.
   void Submit(std::function<void()> task);
 
-  /// \brief Block until every submitted task has finished.
-  void Wait();
-
   /// \brief Run `fn(i)` for every i in [0, n), distributing iterations
   /// across all executors via an atomic work counter (cheap dynamic load
   /// balancing — components have wildly varying sizes). The call returns
   /// once every iteration has completed. `fn` may be invoked from multiple
   /// threads concurrently but each index is processed exactly once.
+  ///
+  /// Completion is per call: the caller drains the range itself and then
+  /// waits only for helpers that claimed an index. A helper still queued
+  /// when the range runs dry finds it empty and returns without touching
+  /// `fn`. So one pool may serve many concurrent callers, a `fn` may
+  /// itself call ParallelFor, and the call returns even while every worker
+  /// is busy elsewhere.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
@@ -54,11 +58,17 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar work_available_;
-  CondVar all_done_;
   std::queue<std::function<void()>> queue_ TECORE_GUARDED_BY(mutex_);
-  size_t in_flight_ TECORE_GUARDED_BY(mutex_) = 0;  // queued + running tasks
   bool shutting_down_ TECORE_GUARDED_BY(mutex_) = false;
 };
+
+/// \brief The process-wide compute pool, created on first use with
+/// HardwareThreads() executors and never destroyed. Every grounding,
+/// solving, mining and parallel-load pass runs on it unless a test
+/// injects its own pool through the layer's `pool` option. It is
+/// separate from the server's connection pool, whose workers park on
+/// keep-alive and streaming connections.
+ThreadPool& ComputePool();
 
 }  // namespace util
 }  // namespace tecore

@@ -22,6 +22,7 @@
 #include "rules/library.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace {
@@ -149,15 +150,16 @@ TEST(ApiConcurrency, ReadersObserveConsistentSnapshotsUnderEdits) {
   EXPECT_EQ(reader_failures.load(), 0);
 
   // Final state must be bit-identical to a from-scratch resolve of the
-  // edited KB at 1/2/4 threads.
+  // edited KB on pools of 1/2/4 executors.
   auto final_snap = engine.snapshot();
   ASSERT_TRUE(final_snap->has_result());
   const core::ResolveResult& incremental = *final_snap->result;
   for (int threads : {1, 2, 4}) {
     rdf::TemporalGraph compact = final_snap->graph->CompactLive();
+    util::ThreadPool pool(threads);
     core::ResolveOptions scratch_options = options;
-    scratch_options.num_threads = threads;
-    scratch_options.ground_threads = threads;
+    scratch_options.grounding.pool = scratch_options.mln.pool =
+        scratch_options.psl.pool = &pool;
     core::Resolver resolver(&compact, *final_snap->rules, scratch_options);
     auto scratch = resolver.Run();
     ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();

@@ -14,6 +14,7 @@
 #include "rules/library.h"
 #include "util/json.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace {
@@ -76,9 +77,10 @@ TEST(ApiEngine, SolveIsCachedUntilInvalidated) {
   EXPECT_EQ(second->version, first->version);
   EXPECT_EQ(second->result.get(), first->result.get());  // same object
 
-  // Thread counts are result-irrelevant: still a cache hit.
+  // Executor pools are result-irrelevant: still a cache hit.
+  util::ThreadPool pool(4);
   core::ResolveOptions threaded = options;
-  threaded.num_threads = 4;
+  threaded.grounding.pool = threaded.mln.pool = threaded.psl.pool = &pool;
   auto third = engine.Solve(threaded);
   ASSERT_TRUE(third.ok());
   EXPECT_TRUE(third->cached);

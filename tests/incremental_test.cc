@@ -23,6 +23,7 @@
 #include "rules/parser.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace {
@@ -181,7 +182,7 @@ std::vector<core::GraphEdit> RandomBatch(rdf::TemporalGraph* graph, Rng* rng,
 }
 
 TEST(IncrementalResolve, RandomizedBatchesMatchFromScratch) {
-  // Three independent incremental tracks (1/2/4 threads) apply identical
+  // Three independent incremental tracks (pools of 1/2/4) apply identical
   // edit batches; every track must match the sequential from-scratch
   // reference bit-for-bit after every batch — network included.
   const rules::RuleSet rules = FootballRules(/*with_inference=*/true);
@@ -190,16 +191,18 @@ TEST(IncrementalResolve, RandomizedBatchesMatchFromScratch) {
   gen.num_teams = 16;
 
   struct Track {
+    std::unique_ptr<util::ThreadPool> pool;  // outlives the resolver
     datagen::GeneratedKg kg;
     std::unique_ptr<core::IncrementalResolver> resolver;
   };
   std::vector<std::unique_ptr<Track>> tracks;
   for (int threads : {1, 2, 4}) {
     auto track = std::make_unique<Track>();
+    track->pool = std::make_unique<util::ThreadPool>(threads);
     track->kg = datagen::GenerateFootballDb(gen);
     core::ResolveOptions options;
-    options.num_threads = threads;
-    options.ground_threads = threads;
+    options.grounding.pool = options.mln.pool = options.psl.pool =
+        track->pool.get();
     track->resolver = std::make_unique<core::IncrementalResolver>(
         &track->kg.graph, rules, options);
     auto init = track->resolver->Initialize();

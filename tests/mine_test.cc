@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "rules/ast.h"
 #include "rules/parser.h"
 #include "temporal/interval.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace mine {
@@ -63,16 +65,20 @@ TEST(Miner, FindsBirthPrecedesPlayingOnCleanData) {
 
 TEST(Miner, OutputBytesIdenticalAtEveryThreadCount) {
   rdf::TemporalGraph graph = NoisyFootball(600);
+  util::ThreadPool sequential(1);
   MiningOptions options;
+  options.pool = &sequential;
   const MiningReport base = Miner(options).Mine(graph);
   const std::string canonical = WriteMinedRulesText(base, options);
   EXPECT_FALSE(canonical.empty());
-  for (int threads : {2, 4, 0}) {
+  for (int threads : {2, 4, 0}) {  // 0: the default ComputePool()
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads != 0) pool = std::make_unique<util::ThreadPool>(threads);
     MiningOptions threaded = options;
-    threaded.num_threads = threads;
+    threaded.pool = pool.get();
     const MiningReport again = Miner(threaded).Mine(graph);
     EXPECT_EQ(WriteMinedRulesText(again, threaded), canonical)
-        << "mined document differs at num_threads=" << threads;
+        << "mined document differs at threads=" << threads;
   }
 }
 

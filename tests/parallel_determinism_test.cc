@@ -1,13 +1,19 @@
 // Per-component MAP solving is parallelized with a chunked thread pool;
 // components are independent and results are merged in component order, so
-// a 4-thread run must be indistinguishable from a sequential run: same
-// objective, same flip set (atom values), same diagnostics.
+// a run on a 4-executor pool must be indistinguishable from a sequential
+// run: same objective, same flip set (atom values), same diagnostics. The
+// ThreadPool tests below pin the contract that lets one process-wide pool
+// serve every layer: concurrent, nested and starved ParallelFor calls.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/resolver.h"
@@ -34,8 +40,13 @@ ground::GroundingResult GroundFootball(size_t players, bool with_inference,
     EXPECT_TRUE(inference.ok());
     rules.Merge(*inference);
   }
+  // 0: the default ComputePool().
+  std::unique_ptr<util::ThreadPool> pool;
+  if (ground_threads != 0) {
+    pool = std::make_unique<util::ThreadPool>(ground_threads);
+  }
   ground::GroundingOptions options;
-  options.num_threads = ground_threads;
+  options.pool = pool.get();
   ground::Grounder grounder(&kg.graph, rules, options);
   auto result = grounder.Run();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -83,12 +94,89 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   }
 }
 
-TEST(ThreadPool, SubmitAndWait) {
-  util::ThreadPool pool(3);
+TEST(ThreadPool, SubmitRunsEveryTask) {
+  // Declared before the pool: its destructor joins the workers first.
   std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) pool.Submit([&] { ++done; });
-  pool.Wait();
+  std::promise<void> all_ran;
+  util::ThreadPool pool(3);
+  for (int i = 0; i < 32; ++i) {
+    pool.Submit([&] {
+      if (++done == 32) all_ran.set_value();
+    });
+  }
+  all_ran.get_future().wait();
   EXPECT_EQ(done.load(), 32);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverEveryIndexOnce) {
+  // Eight callers share one pool at once; completion is per call, so each
+  // call sees exactly its own indices, each exactly once.
+  constexpr size_t kCallers = 8;
+  constexpr size_t kIndices = 2000;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& call_hits : hits) {
+    call_hits = std::vector<std::atomic<int>>(kIndices);
+  }
+  util::ThreadPool pool(4);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      pool.ParallelFor(kIndices, [&](size_t i) { ++hits[c][i]; });
+      // Every index is done by the time this call returns.
+      for (size_t i = 0; i < kIndices; ++i) {
+        EXPECT_EQ(hits[c][i].load(), 1) << "caller " << c << " index " << i;
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+}
+
+TEST(ThreadPool, ParallelForReturnsWhileEveryWorkerIsBlocked) {
+  // Both workers are parked in Submit()ted tasks until the latch opens.
+  // ParallelFor must still finish on the calling thread alone instead of
+  // waiting for unrelated tasks; the latch opens only afterwards.
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  std::atomic<int> parked{0};
+  std::vector<std::atomic<int>> hits(500);
+  util::ThreadPool pool(3);
+  for (int w = 0; w < pool.num_threads() - 1; ++w) {
+    pool.Submit([&parked, opened] {
+      ++parked;
+      opened.wait();
+    });
+  }
+  while (parked.load() != pool.num_threads() - 1) std::this_thread::yield();
+
+  auto call = std::async(std::launch::async, [&] {
+    pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; });
+  });
+  const bool returned =
+      call.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  latch.set_value();
+  call.wait();
+  EXPECT_TRUE(returned) << "ParallelFor waited for unrelated blocked tasks";
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, NestedParallelForCompletes) {
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 200;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  util::ThreadPool pool(4);
+  pool.ParallelFor(kOuter, [&](size_t o) {
+    pool.ParallelFor(kInner, [&](size_t i) { ++hits[o * kInner + i]; });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, ComputePoolIsOneProcessWidePool) {
+  EXPECT_EQ(&util::ComputePool(), &util::ComputePool());
+  EXPECT_EQ(util::ComputePool().num_threads(), util::HardwareThreads());
 }
 
 TEST(ThreadPool, ResolveThreadCount) {
@@ -117,8 +205,9 @@ TEST(ParallelDeterminism, GroundingBitIdenticalOnWikidata) {
   std::vector<ground::GroundingResult> results;
   for (int threads : {1, 2, 4}) {
     datagen::GeneratedKg kg = datagen::GenerateWikidata(gen);
+    util::ThreadPool pool(threads);
     ground::GroundingOptions options;
-    options.num_threads = threads;
+    options.pool = &pool;
     ground::Grounder grounder(&kg.graph, *constraints, options);
     auto result = grounder.Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -138,9 +227,9 @@ TEST(ParallelDeterminism, EndToEndResolveMatchesAcrossGroundThreads) {
     datagen::FootballDbOptions gen;
     gen.num_players = 200;
     datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
+    util::ThreadPool pool(threads);
     core::ResolveOptions options;
-    options.num_threads = threads;
-    options.ground_threads = threads;
+    options.grounding.pool = options.mln.pool = options.psl.pool = &pool;
     core::Resolver resolver(&kg.graph, *constraints, options);
     auto result = resolver.Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -155,10 +244,11 @@ TEST(ParallelDeterminism, EndToEndResolveMatchesAcrossGroundThreads) {
 
 TEST(ParallelDeterminism, MlnObjectiveAndFlipSetMatchSequential) {
   ground::GroundingResult grounding = GroundFootball(600, false);
+  util::ThreadPool one(1), four(4);
   mln::MlnSolverOptions sequential;
-  sequential.num_threads = 1;
+  sequential.pool = &one;
   mln::MlnSolverOptions parallel;
-  parallel.num_threads = 4;
+  parallel.pool = &four;
 
   mln::MlnMapSolver seq_solver(grounding.network, sequential);
   auto seq = seq_solver.Solve();
@@ -180,11 +270,12 @@ TEST(ParallelDeterminism, MlnObjectiveAndFlipSetMatchSequential) {
 
 TEST(ParallelDeterminism, MlnWalkSatBackendIsDeterministicToo) {
   ground::GroundingResult grounding = GroundFootball(600, false);
+  util::ThreadPool one(1), four(4);
   mln::MlnSolverOptions sequential;
   sequential.backend = mln::MlnBackend::kWalkSat;
-  sequential.num_threads = 1;
+  sequential.pool = &one;
   mln::MlnSolverOptions parallel = sequential;
-  parallel.num_threads = 4;
+  parallel.pool = &four;
 
   mln::MlnMapSolver seq_solver(grounding.network, sequential);
   auto seq = seq_solver.Solve();
@@ -201,10 +292,11 @@ TEST(ParallelDeterminism, MlnWalkSatBackendIsDeterministicToo) {
 
 TEST(ParallelDeterminism, PslTruthValuesMatchSequential) {
   ground::GroundingResult grounding = GroundFootball(600, false);
+  util::ThreadPool one(1), four(4);
   psl::PslSolverOptions sequential;
-  sequential.num_threads = 1;
+  sequential.pool = &one;
   psl::PslSolverOptions parallel;
-  parallel.num_threads = 4;
+  parallel.pool = &four;
 
   psl::PslSolver seq_solver(grounding.network, sequential);
   auto seq = seq_solver.Solve();

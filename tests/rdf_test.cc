@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/io.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace rdf {
@@ -359,16 +361,18 @@ TEST(RdfIo, ParallelLoadIsByteIdenticalToSerial) {
   auto serial = ParseGraphText(text);
   ASSERT_TRUE(serial.ok());
   const std::string canonical = WriteGraphText(*serial);
-  for (int threads : {1, 2, 4, 0}) {
+  for (int threads : {1, 2, 4, 0}) {  // 0: the default ComputePool()
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads != 0) pool = std::make_unique<util::ThreadPool>(threads);
     ParseOptions options;
-    options.num_threads = threads;
+    options.pool = pool.get();
     auto parallel = ParseGraphText(text, options);
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->NumFacts(), serial->NumFacts());
     // Same fact ids, same bytes: chunk boundaries depend on the input
     // alone and appends happen in chunk order.
     EXPECT_EQ(WriteGraphText(*parallel), canonical)
-        << "serialized graph differs at num_threads=" << threads;
+        << "serialized graph differs at threads=" << threads;
   }
 }
 
@@ -381,8 +385,9 @@ TEST(RdfIo, ParallelLoadReportsEarliestErrorLine) {
     if (i == 7001) text += "broken line without interval\n";
     if (i == 15000) text += "another bad one\n";
   }
+  util::ThreadPool pool(4);
   ParseOptions options;
-  options.num_threads = 4;
+  options.pool = &pool;
   auto parallel = ParseGraphText(text, options);
   ASSERT_FALSE(parallel.ok());
   auto serial = ParseGraphText(text);

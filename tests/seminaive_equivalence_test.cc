@@ -17,6 +17,7 @@
 #include "rules/library.h"
 #include "rules/parser.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace ground {
@@ -68,12 +69,13 @@ void ExpectEquivalent(rdf::TemporalGraph* graph, const rules::RuleSet& rules) {
   ASSERT_TRUE(naive_result.ok()) << naive_result.status().ToString();
   Canonical a = Canonicalize(naive_result->network);
 
-  // The semi-naive path must match naive at every grounding thread count
+  // The semi-naive path must match naive at every grounding pool size
   // (1 = sequential direct emission, >1 = parallel passes + merge).
   for (int ground_threads : {1, 2, 4}) {
+    util::ThreadPool pool(ground_threads);
     GroundingOptions delta;
     delta.semi_naive = true;
-    delta.num_threads = ground_threads;
+    delta.pool = &pool;
 
     Grounder delta_grounder(graph, rules, delta);
     auto delta_result = delta_grounder.Run();

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -22,10 +23,15 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "datagen/generators.h"
+#include "rdf/io.h"
+#include "rules/library.h"
 #include "server/http_server.h"
 #include "server/routes.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace server {
@@ -1079,6 +1085,144 @@ TEST_F(ServerTest, PerKbTokensScopeAccessToTheirKb) {
   EXPECT_EQ(StatusOf(Http(*port, "DELETE", "/v1/kb/beta", "", service)),
             200);
   secured.Stop();
+}
+
+TEST(RouteTable, ScopeLabelAndDispatchAgree) {
+  // One row per (method, path): the auth scope ScopeFor derives, the
+  // metric label EndpointLabel derives, and the status dispatch answers.
+  // Unrouted paths are admin-scoped, labelled "other" and 404.
+  api::EngineRegistry registry;
+  for (const char* name : {"default", "a"}) {
+    auto created = registry.Create(name);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE((*created)->LoadGraphText("x p y [1,2] 0.9 .\n").ok());
+  }
+  const std::string long_kb(65, 'k');
+  struct Row {
+    const char* method;
+    std::string path;
+    bool admin;
+    std::string kb;
+    const char* label;
+    int status;
+  };
+  const std::vector<Row> rows = {
+      {"GET", "/v1/kb", true, "", "kb", 200},
+      {"GET", "/v1/kb/a", false, "a", "kb", 200},
+      {"DELETE", "/v1/kb/ghost", true, "ghost", "kb", 404},
+      {"GET", "/v1/kb/a/stats", false, "a", "stats", 200},
+      {"PUT", "/v1/kb/a/stats", false, "a", "stats", 405},
+      {"POST", "/v1/kb/a/subscribe", false, "a", "subscribe", 405},
+      {"GET", "/v1/kb/ghost/stats", false, "ghost", "stats", 404},
+      {"GET", "/v1/stats", false, "default", "stats", 200},
+      {"GET", "/v1/subscribe", true, "", "other", 404},
+      {"GET", "/v1/kb/", true, "", "other", 404},
+      {"GET", "/v1/kb//stats", true, "", "other", 404},
+      {"GET", "/v1/kb/a/../b", false, "a", "other", 404},
+      {"GET", "/v1/kb/a/", false, "a", "other", 404},
+      {"GET", "/v1/kb/a/stats/", false, "a", "other", 404},
+      {"GET", "/v1/stats/", true, "", "other", 404},
+      {"GET", "/v1/nope", true, "", "other", 404},
+      {"GET", "/", true, "", "other", 404},
+      {"GET", "/v1/kb/" + long_kb, false, long_kb, "kb", 404},
+      {"GET", "/v1/kb/" + long_kb + "/stats", false, long_kb, "stats", 404},
+  };
+  RouterOptions open;
+  RouterOptions scoped;
+  scoped.auth_token = "svc";
+  scoped.kb_tokens = {{"a", "tok-a"}};
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.method) + " " + row.path);
+    HttpRequest request;
+    request.method = row.method;
+    request.path = row.path;
+    const AuthScope scope = ScopeFor(request, open.default_kb);
+    EXPECT_EQ(scope.admin, row.admin);
+    EXPECT_EQ(scope.kb, row.kb);
+    EXPECT_EQ(EndpointLabel(row.path), row.label);
+    EXPECT_EQ(HandleApiRequest(&registry, open, request).status, row.status);
+    // The scope is the one auth enforces: KB a's token passes exactly
+    // where the scope is KB a, and is denied everywhere else.
+    request.headers.emplace_back("Authorization", "Bearer tok-a");
+    const int with_kb_token =
+        HandleApiRequest(&registry, scoped, request).status;
+    if (!scope.admin && scope.kb == "a") {
+      EXPECT_EQ(with_kb_token, row.status);
+    } else {
+      EXPECT_EQ(with_kb_token, 403);
+    }
+  }
+  EXPECT_EQ(EndpointLabel("/metrics"), "metrics");
+}
+
+/// Current thread count of this process, from /proc/self/status.
+int ProcessThreads() {
+  const std::string status =
+      util::ReadFileToString("/proc/self/status").value_or("");
+  const size_t at = status.find("\nThreads:");
+  return at == std::string::npos
+             ? -1
+             : std::atoi(status.c_str() + at + std::strlen("\nThreads:"));
+}
+
+TEST_F(ServerTest, ComputeThreadsStayBoundedUnderConcurrentRequests) {
+  // Request bodies can no longer size thread pools: four concurrent
+  // /solve and four /mine requests asking for 256 threads each run on
+  // the one compute pool, so the process never grows past the
+  // connection pool + the compute pool + the test's own threads.
+  datagen::FootballDbOptions gen;
+  gen.num_players = 120;
+  const std::string text =
+      rdf::WriteGraphText(datagen::GenerateFootballDb(gen).graph);
+  auto constraints = rules::FootballConstraints();
+  ASSERT_TRUE(constraints.ok());
+  constexpr int kKbs = 4;
+  for (int k = 0; k < kKbs; ++k) {
+    auto created = registry_.Create("bound" + std::to_string(k));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE((*created)->LoadGraphText(text).ok());
+    ASSERT_TRUE((*created)->AddRules(*constraints).ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> peak{ProcessThreads()};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const int now = ProcessThreads();
+      if (now > peak.load()) peak.store(now);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<int> statuses(2 * kKbs, 0);
+  std::vector<std::thread> clients;
+  for (int k = 0; k < kKbs; ++k) {
+    const std::string kb = "/v1/kb/bound" + std::to_string(k);
+    clients.emplace_back([&, kb, k] {
+      statuses[2 * k] = StatusOf(Http(
+          port_, "POST", kb + "/solve",
+          "{\"solver\":\"mln\",\"threads\":256,\"ground_threads\":256}"));
+    });
+    clients.emplace_back([&, kb, k] {
+      statuses[2 * k + 1] =
+          StatusOf(Http(port_, "POST", kb + "/mine", "{\"threads\":256}"));
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true);
+  sampler.join();
+
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    EXPECT_EQ(statuses[i], 200) << "request " << i;
+  }
+  // main + acceptor + 5 connection workers (6 executors), the compute
+  // pool's workers, the clients and the sampler, plus slack for runtime
+  // helpers such as a sanitizer's background thread.
+  constexpr int kConnectionExecutors = 6;
+  constexpr int kSlack = 4;
+  const int bound = kConnectionExecutors + util::ComputePool().num_threads() +
+                    static_cast<int>(clients.size()) + 1 + kSlack;
+  EXPECT_GT(peak.load(), 0);
+  EXPECT_LE(peak.load(), bound);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "rules/library.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace tecore {
 namespace {
@@ -153,7 +154,7 @@ void ExpectInvariantsOk(const rdf::TemporalGraph& graph) {
 }
 
 TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
-  // Three engines (the COW world) at 1/2/4 threads consume identical edit
+  // Three engines (the COW world) on pools of 1/2/4 consume identical edit
   // scripts; a baseline rdf::TemporalGraph applies the same edits and is
   // DeepCopy'd at every step (the deep-clone world). All four must agree
   // bit-for-bit after every step.
@@ -169,6 +170,7 @@ TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
   ASSERT_TRUE(inference.ok());
 
   struct Track {
+    std::unique_ptr<util::ThreadPool> pool;  // outlives the engine
     std::unique_ptr<api::Engine> engine;
     core::ResolveOptions options;
     std::shared_ptr<const api::Snapshot> prev_snapshot;
@@ -181,8 +183,9 @@ TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
     api::Engine::Options engine_options;
     engine_options.retain_versions = 4;
     track.engine = std::make_unique<api::Engine>(engine_options);
-    track.options.num_threads = threads;
-    track.options.ground_threads = threads;
+    track.pool = std::make_unique<util::ThreadPool>(threads);
+    track.options.grounding.pool = track.options.mln.pool =
+        track.options.psl.pool = track.pool.get();
     ASSERT_TRUE(track.engine->LoadGraphText(base_text).ok());
     ASSERT_TRUE(track.engine->AddRules(*constraints).ok());
     tracks.push_back(std::move(track));
