@@ -3,10 +3,10 @@
 // Measures the new src/mine/ pass at several KB sizes: mining wall time,
 // candidates considered vs rules emitted, and whether the noisy
 // `playsFor` disjointness the generator plants ranks first by support.
-// Also times the chunked parallel .tq load (rdf::ParseOptions) against
-// the serial parser, and asserts the two determinism contracts this PR
-// ships: the mined `.tcr` document and the serialized graph are
-// byte-identical at 1, 2 and 4 threads.
+// Also times the .tq parser on a 1-executor pool against a 4-executor
+// pool, and asserts two determinism contracts: the mined `.tcr`
+// document and the serialized graph are byte-identical at 1, 2 and 4
+// threads.
 //
 // `--json out.json` writes the measurements (BENCH_mining.json);
 // `--smoke` shrinks the workload for CI.
@@ -60,19 +60,22 @@ int main(int argc, char** argv) {
         std::move(datagen::GenerateFootballDb(gen).graph);
     const std::string text = rdf::WriteGraphText(graph);
 
+    // The one parser on a 1-executor and a 4-executor pool. On a 1-core CI
+    // box the times match; the byte-identity assertion below is the point.
+    util::ThreadPool one(1);
+    rdf::ParseOptions serial_options;
+    serial_options.pool = &one;
+    util::ThreadPool four(4);
+    rdf::ParseOptions par;
+    par.pool = &four;
     Timer serial_timer;
-    auto serial = rdf::ParseGraphText(text);
+    auto serial = rdf::ParseGraphText(text, serial_options);
     const double serial_ms = serial_timer.ElapsedMillis();
     if (!serial.ok()) {
       std::fprintf(stderr, "%s\n", serial.status().ToString().c_str());
       return 1;
     }
 
-    // Parallel load: same input, chunked. On a 1-core CI box the time is
-    // flat; the byte-identity assertion below is the point.
-    util::ThreadPool four(4);
-    rdf::ParseOptions par;
-    par.pool = &four;
     Timer par_timer;
     auto parallel = rdf::ParseGraphText(text, par);
     const double par_ms = par_timer.ElapsedMillis();

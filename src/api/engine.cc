@@ -7,6 +7,7 @@
 #include "rdf/io.h"
 #include "rules/parser.h"
 #include "storage/fault.h"
+#include "util/file.h"
 #include "util/string_util.h"
 
 namespace tecore {
@@ -67,6 +68,13 @@ bool SortedDisjoint(const std::vector<std::string>& a,
     }
   }
   return true;
+}
+
+/// Parse a whole ".tq" document, timed as the "parse" stage.
+Result<rdf::TemporalGraph> ParseDocument(std::string_view text) {
+  static const auto stage_hist = obs::StageHistogram("parse");
+  obs::ScopedTimer stage_timer(stage_hist);
+  return rdf::ParseGraphText(text);
 }
 
 }  // namespace
@@ -378,13 +386,13 @@ void Engine::CloseForListeners() {
 
 Result<std::shared_ptr<const Snapshot>> Engine::LoadGraphFile(
     const std::string& path) {
-  TECORE_ASSIGN_OR_RETURN(graph, rdf::LoadGraphFile(path));
-  return SetGraph(std::move(graph));
+  TECORE_ASSIGN_OR_RETURN(text, util::ReadFileToString(path));
+  return LoadGraphText(text);
 }
 
 Result<std::shared_ptr<const Snapshot>> Engine::LoadGraphText(
     std::string_view text) {
-  TECORE_ASSIGN_OR_RETURN(graph, rdf::ParseGraphText(text));
+  TECORE_ASSIGN_OR_RETURN(graph, ParseDocument(text));
   return SetGraph(std::move(graph));
 }
 
@@ -605,7 +613,7 @@ Status Engine::AttachStorage(std::shared_ptr<storage::KbStorage> storage) {
   if (storage->has_checkpoint()) {
     recovered = cp.version;
     if (cp.has_graph) {
-      auto graph = rdf::ParseGraphText(cp.graph_text);
+      auto graph = ParseDocument(cp.graph_text);
       if (!graph.ok()) {
         return Status::IoError("checkpoint graph in " + storage->dir() +
                                " unparseable: " + graph.status().message());

@@ -358,9 +358,9 @@ int main(int argc, char** argv) {
       }
       options.max_patterns = static_cast<size_t>(value);
     }
-    // Chunked parallel load on the compute pool; like mining itself it is
-    // deterministic, so the emitted document is byte-identical on any box.
-    auto graph = rdf::LoadGraphFile(graph_it->second, rdf::ParseOptions());
+    // Like mining itself the load is deterministic, so the emitted
+    // document is byte-identical on any box.
+    auto graph = rdf::LoadGraphFile(graph_it->second);
     if (!graph.ok()) {
       std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
       return 1;

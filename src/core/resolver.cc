@@ -116,13 +116,13 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
       continue;
     }
     // Materialize into the output graph (confidence = score). The derived
-    // fact's term ids reference the *output* graph's dictionary.
-    rdf::TemporalFact copy(
-        result.consistent_graph.dict().Intern(graph->dict().Lookup(ga.subject)),
-        result.consistent_graph.dict().Intern(
-            graph->dict().Lookup(ga.predicate)),
-        result.consistent_graph.dict().Intern(graph->dict().Lookup(ga.object)),
-        ga.interval, std::clamp(score, 1e-6, 1.0));
+    // fact's term ids reference the *output* graph's dictionary, interned
+    // in s, p, o order (one statement each, not constructor arguments).
+    rdf::Dictionary& out_dict = result.consistent_graph.dict();
+    const rdf::TermId s = out_dict.Intern(graph->dict().Lookup(ga.subject));
+    const rdf::TermId p = out_dict.Intern(graph->dict().Lookup(ga.predicate));
+    const rdf::TermId o = out_dict.Intern(graph->dict().Lookup(ga.object));
+    rdf::TemporalFact copy(s, p, o, ga.interval, std::clamp(score, 1e-6, 1.0));
     Result<rdf::FactId> added = result.consistent_graph.Add(copy);
     (void)added;
     DerivedFact derived;

@@ -169,41 +169,29 @@ void GroundNetwork::AddPriorClauses(double derived_prior_weight) {
 namespace {
 /// Lexical sort key of one atom: dictionary-independent (two dictionaries
 /// interning the same terms in different orders yield the same key order).
+/// The terms are read through pointers into the dictionary's stable store.
 struct AtomLexicalKey {
-  std::string s, p, o;
-  uint8_t s_kind = 0, p_kind = 0, o_kind = 0;
-  int64_t begin = 0, end = 0;
-  AtomId id = 0;
+  const rdf::Term* s;
+  const rdf::Term* p;
+  const rdf::Term* o;
+  int64_t begin, end;
+  AtomId id;
+
+  /// Lexical form, then kind. Distinct pointers are distinct terms.
+  static int CompareTerms(const rdf::Term* a, const rdf::Term* b) {
+    if (a == b) return 0;
+    if (int c = a->lexical().compare(b->lexical()); c != 0) return c;
+    return static_cast<int>(a->kind()) - static_cast<int>(b->kind());
+  }
 
   bool operator<(const AtomLexicalKey& other) const {
-    if (s != other.s) return s < other.s;
-    if (s_kind != other.s_kind) return s_kind < other.s_kind;
-    if (p != other.p) return p < other.p;
-    if (p_kind != other.p_kind) return p_kind < other.p_kind;
-    if (o != other.o) return o < other.o;
-    if (o_kind != other.o_kind) return o_kind < other.o_kind;
+    if (int c = CompareTerms(s, other.s); c != 0) return c < 0;
+    if (int c = CompareTerms(p, other.p); c != 0) return c < 0;
+    if (int c = CompareTerms(o, other.o); c != 0) return c < 0;
     if (begin != other.begin) return begin < other.begin;
     return end < other.end;
   }
 };
-
-AtomLexicalKey MakeLexicalKey(const GroundAtom& atom,
-                              const rdf::Dictionary& dict, AtomId id) {
-  AtomLexicalKey key;
-  const rdf::Term& s = dict.Lookup(atom.subject);
-  const rdf::Term& p = dict.Lookup(atom.predicate);
-  const rdf::Term& o = dict.Lookup(atom.object);
-  key.s = s.lexical();
-  key.s_kind = static_cast<uint8_t>(s.kind());
-  key.p = p.lexical();
-  key.p_kind = static_cast<uint8_t>(p.kind());
-  key.o = o.lexical();
-  key.o_kind = static_cast<uint8_t>(o.kind());
-  key.begin = atom.interval.begin();
-  key.end = atom.interval.end();
-  key.id = id;
-  return key;
-}
 }  // namespace
 
 void SortAtomIdsLexical(const GroundNetwork& network,
@@ -212,7 +200,10 @@ void SortAtomIdsLexical(const GroundNetwork& network,
   std::vector<AtomLexicalKey> keys;
   keys.reserve(ids->size());
   for (AtomId id : *ids) {
-    keys.push_back(MakeLexicalKey(network.atom(id), dict, id));
+    const GroundAtom& atom = network.atom(id);
+    keys.push_back({&dict.Lookup(atom.subject), &dict.Lookup(atom.predicate),
+                    &dict.Lookup(atom.object), atom.interval.begin(),
+                    atom.interval.end(), id});
   }
   std::sort(keys.begin(), keys.end());
   for (size_t i = 0; i < keys.size(); ++i) (*ids)[i] = keys[i].id;
@@ -227,49 +218,55 @@ std::vector<AtomId> GroundNetwork::Canonicalize(const rdf::Dictionary& dict) {
   AtomId evidence_end = 0;
   while (evidence_end < n && atoms_[evidence_end].is_evidence) ++evidence_end;
 
-  std::vector<AtomId> derived;
-  derived.reserve(n - evidence_end);
-  for (AtomId id = evidence_end; id < n; ++id) derived.push_back(id);
-  SortAtomIdsLexical(*this, dict, &derived);
-
   std::vector<AtomId> remap(n);
-  for (AtomId id = 0; id < evidence_end; ++id) remap[id] = id;
+  for (AtomId id = 0; id < n; ++id) remap[id] = id;
+  std::vector<AtomId> derived(remap.begin() + evidence_end, remap.end());
+  SortAtomIdsLexical(*this, dict, &derived);
+  bool identity = true;
   for (size_t i = 0; i < derived.size(); ++i) {
     remap[derived[i]] = evidence_end + static_cast<AtomId>(i);
+    identity = identity && derived[i] == evidence_end + i;
   }
 
-  // Permute the atom store and rebuild every index over the new ids.
-  std::vector<GroundAtom> reordered(n);
-  for (AtomId id = 0; id < n; ++id) reordered[remap[id]] = atoms_[id];
-  atoms_ = std::move(reordered);
-  atom_index_.clear();
-  by_pred_.clear();
-  by_pred_subject_.clear();
-  by_pred_object_.clear();
-  for (AtomId id = 0; id < n; ++id) {
-    const GroundAtom& a = atoms_[id];
-    atom_index_.emplace(
-        QuadKey{a.subject, a.predicate, a.object, a.interval.begin(),
-                a.interval.end()},
-        id);
-    by_pred_[a.predicate].push_back(id);
-    by_pred_subject_[{a.predicate, a.subject}].push_back(id);
-    by_pred_object_[{a.predicate, a.object}].push_back(id);
+  // Unless the sort left the derived block in place, permute the atom
+  // store and remap the indexes and literals in place (evidence ids are
+  // fixed points). Literal order within a clause may change, and with it
+  // the literal-dependent dedup hashes.
+  if (!identity) {
+    std::vector<GroundAtom> reordered(n);
+    for (AtomId id = 0; id < n; ++id) reordered[remap[id]] = atoms_[id];
+    atoms_ = std::move(reordered);
+    RemapAtomIds(remap, evidence_end, evidence_end);
+    clause_hashes_.clear();
+    for (GroundClause& clause : clauses_) {
+      std::sort(clause.literals.begin(), clause.literals.end());
+      clause_hashes_.insert(ClauseContentHash(clause));
+    }
   }
+  SortClausesCanonical();
+  return remap;
+}
 
-  // Remap clause literals (re-sorting each clause) and restore the dedup
-  // hashes, which are literal-dependent.
-  clause_hashes_.clear();
+void GroundNetwork::RemapAtomIds(const std::vector<AtomId>& remap,
+                                 AtomId fixed_end, AtomId unsorted_from) {
+  for (auto& [key, id] : atom_index_) id = remap[id];
+  auto remap_lists = [&](auto* index_map) {
+    for (auto& [key, list] : *index_map) {
+      if (list.empty() || list.back() < fixed_end) continue;
+      const bool unsorted = list.back() >= unsorted_from;
+      for (AtomId& id : list) id = remap[id];
+      if (unsorted) std::sort(list.begin(), list.end());
+    }
+  };
+  remap_lists(&by_pred_);
+  remap_lists(&by_pred_subject_);
+  remap_lists(&by_pred_object_);
   for (GroundClause& clause : clauses_) {
     for (int32_t& lit : clause.literals) {
       const AtomId atom = remap[LiteralAtom(lit)];
       lit = LiteralSign(lit) ? PositiveLiteral(atom) : NegativeLiteral(atom);
     }
-    std::sort(clause.literals.begin(), clause.literals.end());
-    clause_hashes_.insert(ClauseContentHash(clause));
   }
-  SortClausesCanonical();
-  return remap;
 }
 
 void GroundNetwork::SortClausesCanonical() {
@@ -294,32 +291,14 @@ std::vector<AtomId> GroundNetwork::CanonicalizeAppendedEvidence(
   }
   if (k == 0) return remap;
 
-  // Rotate the atom store: [evidence][appended evidence][derived].
+  // Rotate the atom store: [evidence][appended evidence][derived]. Index
+  // lists of pre-existing atoms stay sorted under the monotone shift; lists
+  // the appended atoms touched carry them at the tail and need a re-sort.
+  // Appended atoms appear in no existing clause, so per-clause literal
+  // order and the canonical clause order are both preserved.
   std::rotate(atoms_.begin() + evidence_end, atoms_.begin() + appended_begin,
               atoms_.end());
-  for (auto& [key, id] : atom_index_) id = remap[id];
-  // Secondary index lists of pre-existing atoms stay sorted under the
-  // monotone shift; lists the appended atoms touched carry their entries
-  // at the tail (append order) and need one local re-sort.
-  auto remap_lists = [&remap, appended_begin](auto* index_map) {
-    for (auto& [key, list] : *index_map) {
-      const bool touched = !list.empty() && list.back() >= appended_begin;
-      for (AtomId& id : list) id = remap[id];
-      if (touched) std::sort(list.begin(), list.end());
-    }
-  };
-  remap_lists(&by_pred_);
-  remap_lists(&by_pred_subject_);
-  remap_lists(&by_pred_object_);
-  // Clause literals: the remap is monotone on pre-existing atoms (and
-  // appended atoms appear in no existing clause), so per-clause literal
-  // order and the canonical clause order are both preserved.
-  for (GroundClause& clause : clauses_) {
-    for (int32_t& lit : clause.literals) {
-      const AtomId atom = remap[LiteralAtom(lit)];
-      lit = LiteralSign(lit) ? PositiveLiteral(atom) : NegativeLiteral(atom);
-    }
-  }
+  RemapAtomIds(remap, evidence_end, appended_begin);
   // Dedup hashes are literal-dependent and only serve AddClause; the
   // fast-path owner appends clauses via MergeCanonicalClauses instead.
   clause_hashes_.clear();

@@ -235,6 +235,12 @@ class GroundNetwork {
                              const rdf::Dictionary& dict) const;
 
  private:
+  /// Apply an old-id -> new-id `remap` to the atom indexes and literals in
+  /// place. Ids below `fixed_end` are fixed points; index lists holding an
+  /// id >= `unsorted_from` are re-sorted (the remap is monotone below it).
+  void RemapAtomIds(const std::vector<AtomId>& remap, AtomId fixed_end,
+                    AtomId unsorted_from);
+
   struct QuadKey {
     rdf::TermId s, p, o;
     int64_t b, e;

@@ -9,6 +9,14 @@
 namespace tecore {
 namespace rdf {
 
+Status CheckConfidence(double confidence) {
+  if (confidence <= 0.0 || confidence > 1.0) {
+    return Status::InvalidArgument(
+        StringPrintf("confidence must be in (0,1], got %g", confidence));
+  }
+  return Status::OK();
+}
+
 void FactChunk::BuildIndex() {
   const size_t n = size();
   subj_idx.clear();
@@ -97,10 +105,7 @@ FactChunk* TemporalGraph::MutableChunk(size_t ci) {
 }
 
 Result<FactId> TemporalGraph::Add(const TemporalFact& fact) {
-  if (fact.confidence <= 0.0 || fact.confidence > 1.0) {
-    return Status::InvalidArgument(
-        StringPrintf("confidence must be in (0,1], got %g", fact.confidence));
-  }
+  TECORE_RETURN_NOT_OK(CheckConfidence(fact.confidence));
   if (fact.subject == kInvalidTermId || fact.predicate == kInvalidTermId ||
       fact.object == kInvalidTermId) {
     return Status::InvalidArgument("fact references an invalid term id");
@@ -260,9 +265,12 @@ Result<FactId> TemporalGraph::AddQuad(std::string_view subject,
                                       const Term& object,
                                       temporal::Interval interval,
                                       double confidence) {
-  TemporalFact fact(dict_->InternIri(subject), dict_->InternIri(predicate),
-                    dict_->Intern(object), interval, confidence);
-  return Add(fact);
+  // One statement per term: constructor arguments would intern in the
+  // compiler's order.
+  const TermId s = dict_->InternIri(subject);
+  const TermId p = dict_->InternIri(predicate);
+  const TermId o = dict_->Intern(object);
+  return Add(TemporalFact(s, p, o, interval, confidence));
 }
 
 std::vector<FactId> TemporalGraph::FactsWithPredicate(TermId predicate) const {
@@ -355,14 +363,22 @@ std::vector<std::pair<TermId, size_t>> TemporalGraph::PredicateCounts() const {
 
 TemporalGraph TemporalGraph::Filter(const std::vector<bool>& keep) const {
   TemporalGraph out;
+  // This graph's term id -> the new graph's, interned on first use in
+  // s, p, o order. Every fact's ids predate the Size() read.
+  std::vector<TermId> remap(dict_->Size(), kInvalidTermId);
+  auto map = [&](TermId id) {
+    TermId& to = remap[id];
+    if (to == kInvalidTermId) to = out.dict_->Intern(dict_->Lookup(id));
+    return to;
+  };
   for (FactId id = 0; id < num_facts_; ++id) {
     if (id < keep.size() && keep[id] && is_live(id)) {
       const TemporalFact f = fact(id);
-      TemporalFact copy(out.dict_->Intern(dict_->Lookup(f.subject)),
-                        out.dict_->Intern(dict_->Lookup(f.predicate)),
-                        out.dict_->Intern(dict_->Lookup(f.object)), f.interval,
-                        f.confidence);
-      Result<FactId> added = out.Add(copy);
+      const TermId s = map(f.subject);
+      const TermId p = map(f.predicate);
+      const TermId o = map(f.object);
+      Result<FactId> added =
+          out.Add(TemporalFact(s, p, o, f.interval, f.confidence));
       (void)added;  // inputs were valid, copies are valid
     }
   }

@@ -19,6 +19,9 @@
 namespace tecore {
 namespace rdf {
 
+/// \brief OK iff `confidence` is in (0,1], as TemporalGraph::Add requires.
+Status CheckConfidence(double confidence);
+
 /// \brief One fixed-size slice of the fact store, laid out as SoA columns.
 ///
 /// Chunks are the unit of copy-on-write sharing between graph versions: a
@@ -209,7 +212,8 @@ class TemporalGraph {
   std::vector<std::pair<TermId, size_t>> PredicateCounts() const;
 
   /// \brief New graph containing exactly the facts where keep[id] is true.
-  /// The dictionary is rebuilt (new graph is self-contained).
+  /// The dictionary is rebuilt (new graph is self-contained): term ids are
+  /// first-occurrence order over the kept facts, s before p before o.
   TemporalGraph Filter(const std::vector<bool>& keep) const;
 
   /// \brief Render one fact as "(s, p, o, [b,e]) conf".

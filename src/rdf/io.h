@@ -2,6 +2,7 @@
 #define TECORE_RDF_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "rdf/graph.h"
 #include "util/status.h"
@@ -30,24 +31,19 @@ namespace rdf {
 
 /// \brief Parsing knobs for whole-document loads.
 struct ParseOptions {
-  /// Executors for parsing + interning; null means util::ComputePool(). A
-  /// test seam only. The document is split into newline-aligned chunks at
-  /// *fixed byte targets* (a function of the input alone, never of the
-  /// executor count), chunks are parsed and interned concurrently against
-  /// the sharded dictionary, and facts are appended in chunk order — so
-  /// fact ids, the serialized graph bytes and every canonical output are
-  /// identical for every pool. Term ids may differ across executor counts
-  /// (interning interleaves), which no canonical output depends on.
+  /// Executors for tokenizing; null means util::ComputePool(). A test seam
+  /// only: the parse is a pure function of the document.
   util::ThreadPool* pool = nullptr;
 };
 
-/// \brief Parse a whole ".tq" document into a graph.
-Result<TemporalGraph> ParseGraphText(std::string_view text);
-
-/// \brief Parse with explicit options (parallel load). Errors report the
-/// earliest offending line, same format as the serial parse.
+/// \brief Parse a whole ".tq" document into a graph: (a) tokenize fixed
+/// newline-aligned chunks concurrently, deduplicating each chunk's raw
+/// tokens; (b) intern those, serially in chunk order; (c) append the facts
+/// in order. Fact and term ids (first occurrence, s before p before o) are
+/// a pure function of the bytes, equal to `ParseFactLine` applied line by
+/// line. Errors name the earliest line.
 Result<TemporalGraph> ParseGraphText(std::string_view text,
-                                     const ParseOptions& options);
+                                     const ParseOptions& options = {});
 
 /// \brief Parse one fact line into `graph`. Returns the new fact's id.
 Result<FactId> ParseFactLine(std::string_view line, TemporalGraph* graph);
@@ -70,12 +66,9 @@ std::string WriteFactText(const TemporalGraph& graph, const TemporalFact& fact);
 /// \brief Serialize the whole graph in ".tq" format.
 std::string WriteGraphText(const TemporalGraph& graph);
 
-/// \brief Load a ".tq" file from disk.
-Result<TemporalGraph> LoadGraphFile(const std::string& path);
-
-/// \brief Load a ".tq" file with explicit parse options.
+/// \brief Load a ".tq" file from disk (ParseGraphText on its bytes).
 Result<TemporalGraph> LoadGraphFile(const std::string& path,
-                                    const ParseOptions& options);
+                                    const ParseOptions& options = {});
 
 /// \brief Save a graph to disk in ".tq" format.
 Status SaveGraphFile(const TemporalGraph& graph, const std::string& path);

@@ -61,11 +61,12 @@ TemporalGraph Coalesce(const TemporalGraph& graph, CoalesceConfidence policy,
     temporal::Interval current = graph.fact(sorted[0]).interval;
     double confidence = graph.fact(sorted[0]).confidence;
     auto emit = [&]() {
-      TemporalFact merged(out.dict().Intern(graph.dict().Lookup(f.subject)),
-                          out.dict().Intern(graph.dict().Lookup(f.predicate)),
-                          out.dict().Intern(graph.dict().Lookup(f.object)),
-                          current, std::min(confidence, 1.0));
-      Result<FactId> added = out.Add(merged);
+      // s, p, o order: as constructor arguments it is the compiler's.
+      const TermId s = out.dict().Intern(graph.dict().Lookup(f.subject));
+      const TermId p = out.dict().Intern(graph.dict().Lookup(f.predicate));
+      const TermId o = out.dict().Intern(graph.dict().Lookup(f.object));
+      Result<FactId> added =
+          out.Add(TemporalFact(s, p, o, current, std::min(confidence, 1.0)));
       (void)added;
     };
     for (size_t i = 1; i < sorted.size(); ++i) {

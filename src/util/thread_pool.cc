@@ -4,6 +4,13 @@
 #include <atomic>
 #include <memory>
 
+#include <unistd.h>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace tecore {
 namespace util {
 
@@ -17,11 +24,36 @@ int ResolveThreadCount(int requested) {
   return std::min(std::max(requested, 1), 256);
 }
 
-ThreadPool::ThreadPool(int num_threads) {
+namespace {
+
+/// Move the calling thread onto the k-th CPU (mod the count) of its
+/// affinity mask, then restore the mask: only the starting CPU changes.
+void StartOnCpu(int k) {
+#if defined(__linux__)
+  cpu_set_t allowed, one;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  k %= CPU_COUNT(&allowed);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed) || k-- > 0) ++cpu;  // the k-th allowed
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+    pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+  }
+#endif
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(int num_threads)
+    : owner_pid_(static_cast<int>(getpid())) {
   const int workers = std::max(1, num_threads) - 1;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] {
+      StartOnCpu(i + 1);
+      WorkerLoop();
+    });
   }
 }
 
@@ -58,7 +90,7 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   const size_t helpers = std::min(workers_.size(), n == 0 ? 0 : n - 1);
-  if (helpers == 0) {
+  if (helpers == 0 || static_cast<int>(getpid()) != owner_pid_) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -24,6 +24,9 @@ int ResolveThreadCount(int requested);
 /// Construction spawns `num_threads - 1` workers; the calling thread is
 /// the remaining executor and participates in ParallelFor, so
 /// ThreadPool(1) runs everything inline with zero threading overhead.
+/// Worker i starts on the (i+1)-th allowed CPU (the scheduler may move it
+/// later): some kernels keep new bursty threads on their creator's CPU
+/// for hundreds of ms, so a 100 ms ParallelFor ran no faster than a loop.
 /// Tasks must not throw (the codebase is exception-free by convention).
 class ThreadPool {
  public:
@@ -56,6 +59,9 @@ class ThreadPool {
   void WorkerLoop() TECORE_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
+  /// A forked child inherits no workers, and maybe a locked mutex_, so
+  /// ParallelFor runs inline outside the owning process.
+  const int owner_pid_;
   Mutex mutex_;
   CondVar work_available_;
   std::queue<std::function<void()>> queue_ TECORE_GUARDED_BY(mutex_);

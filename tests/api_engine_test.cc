@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.h"
 #include "api/types.h"
 #include "core/resolver.h"
+#include "obs/metrics.h"
 #include "rules/library.h"
+#include "storage/fs.h"
 #include "util/json.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -370,6 +373,32 @@ TEST(ApiEngine, PublishCachesReuseAcrossEdits) {
   auto recomputed = coach->snapshot->DetectConflicts();
   ASSERT_TRUE(recomputed.ok());
   EXPECT_GT((*recomputed)->NumConflicts(), baseline_conflicts);
+}
+
+TEST(ApiEngine, DocumentParsesAreTimedAsTheParseStage) {
+  const auto parses = [] {
+    return obs::StageHistogram("parse")->Snap().count;
+  };
+  const std::string data_dir = ::testing::TempDir() + "/engine_parse_stage";
+  ASSERT_TRUE(storage::RemoveDirRecursive(data_dir).ok());
+  api::EngineRegistry::Options options;
+  options.data_dir = data_dir;
+  const uint64_t before = parses();
+  {
+    api::EngineRegistry registry(options);
+    auto engine = registry.Create("kb");
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->LoadGraphText(kFig1Utkg).ok());
+  }
+  EXPECT_EQ(parses(), before + 1);  // the load
+  // Recovery parses the checkpointed graph.
+  api::EngineRegistry registry(options);
+  ASSERT_TRUE(registry.RecoverKbs().ok());
+  EXPECT_EQ(parses(), before + 2);
+  const std::string text = obs::Registry::Default()->RenderPrometheusText();
+  EXPECT_NE(text.find("tecore_stage_duration_micros_count{stage=\"parse\"}"),
+            std::string::npos);
+  ASSERT_TRUE(storage::RemoveDirRecursive(data_dir).ok());
 }
 
 }  // namespace

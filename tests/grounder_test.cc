@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "datagen/generators.h"
 #include "ground/grounder.h"
@@ -197,6 +200,86 @@ TEST(Grounder, MaxAtomsGuardTrips) {
       &graph, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+/// Every atom index of `net` against a brute-force scan of its atoms.
+void ExpectIndexesMatchScan(const GroundNetwork& net) {
+  using Pair = std::pair<rdf::TermId, rdf::TermId>;
+  std::map<rdf::TermId, std::vector<AtomId>> by_pred;
+  std::map<Pair, std::vector<AtomId>> by_pred_subject, by_pred_object;
+  for (AtomId id = 0; id < net.NumAtoms(); ++id) {
+    const GroundAtom& a = net.atom(id);
+    EXPECT_EQ(net.FindAtom(a.subject, a.predicate, a.object, a.interval), id);
+    by_pred[a.predicate].push_back(id);
+    by_pred_subject[{a.predicate, a.subject}].push_back(id);
+    by_pred_object[{a.predicate, a.object}].push_back(id);
+  }
+  for (const auto& [p, ids] : by_pred) {
+    EXPECT_EQ(net.AtomsWithPredicate(p), ids) << "predicate " << p;
+  }
+  for (const auto& [key, ids] : by_pred_subject) {
+    EXPECT_EQ(net.AtomsWithPredSubject(key.first, key.second), ids);
+  }
+  for (const auto& [key, ids] : by_pred_object) {
+    EXPECT_EQ(net.AtomsWithPredObject(key.first, key.second), ids);
+  }
+}
+
+TEST(GroundNetwork, CanonicalIndexesMatchScanWhenRemapIsIdentity) {
+  // Wikidata constraints derive nothing: every atom is evidence, so
+  // Canonicalize keeps every id.
+  datagen::WikidataOptions gen;
+  gen.target_facts = 3000;
+  rdf::TemporalGraph graph = std::move(datagen::GenerateWikidata(gen).graph);
+  auto rules = rules::WikidataConstraints();
+  ASSERT_TRUE(rules.ok());
+  auto result = Grounder(&graph, *rules).Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const GroundNetwork& net = result->network;
+  ASSERT_GT(net.NumClauses(), net.NumAtoms());  // priors plus conflicts
+  for (AtomId id = 0; id < net.NumAtoms(); ++id) {
+    ASSERT_TRUE(net.atom(id).is_evidence);
+  }
+  ExpectIndexesMatchScan(net);
+}
+
+TEST(GroundNetwork, CanonicalIndexesMatchScanAfterDerivedPermutation) {
+  // FootballDB F ∪ C derives atoms in discovery order; Canonicalize
+  // permutes them into lexical order and must carry every index along.
+  datagen::FootballDbOptions gen;
+  gen.num_players = 150;
+  rdf::TemporalGraph graph = std::move(datagen::GenerateFootballDb(gen).graph);
+  auto rules = rules::FootballConstraints();
+  auto inference = rules::FootballInferenceRules();
+  ASSERT_TRUE(rules.ok() && inference.ok());
+  rules->Merge(*inference);
+  GroundingOptions options;
+  options.canonical_network = false;
+  auto discovered = Grounder(&graph, *rules, options).Run();
+  auto result = Grounder(&graph, *rules).Run();
+  ASSERT_TRUE(discovered.ok() && result.ok()) << result.status().ToString();
+  const GroundNetwork& net = result->network;
+  AtomId evidence_end = 0;
+  while (evidence_end < net.NumAtoms() && net.atom(evidence_end).is_evidence) {
+    ++evidence_end;
+  }
+  ASSERT_LT(evidence_end, net.NumAtoms()) << "no derived atoms";
+  // The permutation is not the identity: some derived atom moved.
+  bool moved = false;
+  for (AtomId id = evidence_end; id < net.NumAtoms() && !moved; ++id) {
+    const GroundAtom& a = discovered->network.atom(id);
+    moved = net.FindAtom(a.subject, a.predicate, a.object, a.interval) != id;
+  }
+  EXPECT_TRUE(moved);
+  // The derived block is in lexical order.
+  std::vector<AtomId> derived;
+  for (AtomId id = evidence_end; id < net.NumAtoms(); ++id) {
+    derived.push_back(id);
+  }
+  std::vector<AtomId> sorted = derived;
+  SortAtomIdsLexical(net, graph.dict(), &sorted);
+  EXPECT_EQ(sorted, derived);
+  ExpectIndexesMatchScan(net);
 }
 
 TEST(GroundNetwork, TautologiesAndDuplicatesDropped) {

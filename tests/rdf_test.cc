@@ -6,6 +6,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/io.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace tecore {
@@ -348,54 +349,164 @@ TEST(TemporalGraph, WarmedTemporalIndexAnswersWithoutMutation) {
   EXPECT_TRUE(g.FactsIntersecting(ghost, {0, 10}).empty());
 }
 
-TEST(RdfIo, ParallelLoadIsByteIdenticalToSerial) {
-  // A document big enough to span several 256 KiB chunks, with comments
-  // and blank lines so per-chunk line accounting is exercised.
+TEST(RdfIo, TermIdsFollowFirstOccurrenceSubjectPredicateObject) {
+  // Interning order is explicit (s, p, o), not the compiler's argument
+  // evaluation order, on every path that builds facts from terms.
+  auto expect_spo = [](const Dictionary& dict) {
+    ASSERT_EQ(dict.Size(), 3u);
+    EXPECT_EQ(dict.Lookup(0), Term::Iri("alpha"));
+    EXPECT_EQ(dict.Lookup(1), Term::Iri("beta"));
+    EXPECT_EQ(dict.Lookup(2), Term::Iri("gamma"));
+  };
+  TemporalGraph line;
+  ASSERT_TRUE(ParseFactLine("alpha beta gamma [1,2]", &line).ok());
+  expect_spo(line.dict());
+  TemporalGraph text;
+  ASSERT_TRUE(ParseFactText("alpha beta gamma [1,2]", &text).ok());
+  expect_spo(text.dict());
+  auto parsed = ParseGraphText("alpha beta gamma [1,2]\n");
+  ASSERT_TRUE(parsed.ok());
+  expect_spo(parsed->dict());
+  TemporalGraph quad;
+  ASSERT_TRUE(quad.AddQuad("alpha", "beta", "gamma", {1, 2}, 1.0).ok());
+  expect_spo(quad.dict());
+  // Filter re-interns in first-occurrence order of the kept facts.
+  TemporalGraph two;
+  ASSERT_TRUE(two.AddQuad("x", "y", "z", {1, 2}, 1.0).ok());
+  ASSERT_TRUE(two.AddQuad("alpha", "beta", "gamma", {1, 2}, 1.0).ok());
+  expect_spo(two.Filter({false, true}).dict());
+}
+
+/// A document spanning several 256 KiB chunks with every token shape the
+/// parser distinguishes: escaped literals, `#` inside literals, `007` vs
+/// `7`, blanks, comments, blank lines and attached terminators.
+std::string MixedDocument() {
   std::string text = "# synthetic multi-chunk document\n\n";
   for (int i = 0; i < 30000; ++i) {
-    text += "player" + std::to_string(i % 500) + " playsFor team" +
-            std::to_string(i) + " [" + std::to_string(i % 50) + "," +
-            std::to_string(i % 50 + 3) + "] 0.7" +
-            (i % 7 == 0 ? " . # spell\n" : " .\n");
+    const std::string n = std::to_string(i % 500);
+    switch (i % 6) {
+      case 0:
+        text += "player" + n + " playsFor team" + std::to_string(i) + " [" +
+                std::to_string(i % 50) + "," + std::to_string(i % 50 + 3) +
+                "] 0.7 . # spell\n";
+        break;
+      case 1:
+        text += "player" + n + " label \"say \\\"hi\\\" #" + n +
+                "\" [1,2] 0.5 .\n";
+        break;
+      case 2:
+        text += "player" + n + " age 007 [7]\n";
+        break;
+      case 3:
+        text += "  player" + n + " age 7 [7] 0.25\n\n";
+        break;
+      case 4:
+        text += "_:b" + n + " knows \"back\\\\slash\" [3,4].\n";
+        break;
+      default:
+        text += "player" + n + " rank -" + n + " [1,9] 1 .\n";
+        break;
+    }
   }
-  auto serial = ParseGraphText(text);
-  ASSERT_TRUE(serial.ok());
-  const std::string canonical = WriteGraphText(*serial);
+  return text;
+}
+
+TEST(RdfIo, ParseIsAPureFunctionOfTheDocument) {
+  const std::string text = MixedDocument();
+  ASSERT_GT(text.size(), 3u * 256 * 1024);
+  // Reference: the one-line parser applied line by line.
+  TemporalGraph reference;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    const std::string_view line = Trim(StripTqComment(
+        std::string_view(text).substr(start, end - start)));
+    start = end + 1;
+    if (!line.empty()) ASSERT_TRUE(ParseFactLine(line, &reference).ok());
+  }
+  const std::string canonical = WriteGraphText(reference);
+  // `007` and `7` are one term; escapes are undone.
+  EXPECT_TRUE(reference.dict().Find(Term::IntLiteral(7)).ok());
+  EXPECT_TRUE(reference.dict().Find(Term::Literal("back\\slash")).ok());
+  EXPECT_TRUE(reference.dict().Find(Term::Literal("say \"hi\" #1")).ok());
   for (int threads : {1, 2, 4, 0}) {  // 0: the default ComputePool()
     std::unique_ptr<util::ThreadPool> pool;
     if (threads != 0) pool = std::make_unique<util::ThreadPool>(threads);
     ParseOptions options;
     options.pool = pool.get();
-    auto parallel = ParseGraphText(text, options);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->NumFacts(), serial->NumFacts());
-    // Same fact ids, same bytes: chunk boundaries depend on the input
-    // alone and appends happen in chunk order.
-    EXPECT_EQ(WriteGraphText(*parallel), canonical)
+    auto parsed = ParseGraphText(text, options);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed->dict().Size(), reference.dict().Size());
+    for (TermId id = 0; id < reference.dict().Size(); ++id) {
+      ASSERT_EQ(parsed->dict().Lookup(id), reference.dict().Lookup(id))
+          << "term " << id << " at threads=" << threads;
+    }
+    ASSERT_EQ(parsed->NumFacts(), reference.NumFacts());
+    for (FactId id = 0; id < reference.NumFacts(); ++id) {
+      const TemporalFact got = parsed->fact(id);
+      const TemporalFact want = reference.fact(id);
+      ASSERT_EQ(got.subject, want.subject) << "fact " << id;
+      ASSERT_EQ(got.predicate, want.predicate) << "fact " << id;
+      ASSERT_EQ(got.object, want.object) << "fact " << id;
+      ASSERT_EQ(got.interval, want.interval) << "fact " << id;
+      ASSERT_EQ(got.confidence, want.confidence) << "fact " << id;
+    }
+    EXPECT_EQ(WriteGraphText(*parsed), canonical)
         << "serialized graph differs at threads=" << threads;
   }
 }
 
-TEST(RdfIo, ParallelLoadReportsEarliestErrorLine) {
-  // Errors in two different chunks: the globally earliest line wins,
-  // matching the serial parser's message exactly.
-  std::string text;
-  for (int i = 0; i < 20000; ++i) {
-    text += "s" + std::to_string(i) + " p o [1,2] 0.5 .\n";
-    if (i == 7001) text += "broken line without interval\n";
-    if (i == 15000) text += "another bad one\n";
+TEST(RdfIo, ErrorsReportTheEarliestLineAcrossChunks) {
+  // Fixed-width lines, so the 256 KiB chunk boundary falls inside a known
+  // line: that line ends chunk 0 and the next one starts chunk 1.
+  auto line = [](int i) {
+    return StringPrintf("s%07d p o [1,2] 0.5 .\n", i);
+  };
+  const size_t width = line(0).size();
+  const int last_of_chunk0 = static_cast<int>(256 * 1024 / width);
+  // The bad line is padded to the same width (trailing blanks are trimmed)
+  // so the boundary stays put.
+  auto document = [&](int bad, const std::string& replacement) {
+    std::string text;
+    for (int i = 0; i < 3 * last_of_chunk0; ++i) {
+      text += i != bad ? line(i)
+                       : replacement +
+                             std::string(width - 1 - replacement.size(), ' ') +
+                             "\n";
+    }
+    return text;
+  };
+  // The messages the line-by-line parser has always produced.
+  const struct {
+    int bad;
+    std::string replacement;
+    std::string message;
+  } cases[] = {
+      {last_of_chunk0, "broken line",
+       "line " + std::to_string(last_of_chunk0 + 1) +
+           ": expected 's p o [b,e] [conf]' , got 2 tokens in: "
+           "'broken line'"},
+      {last_of_chunk0 + 1, "a \"b\" c [1,2]",
+       "line " + std::to_string(last_of_chunk0 + 2) +
+           ": predicate must be an IRI in: 'a \"b\" c [1,2]'"},
+      {last_of_chunk0 + 1, "a p c [1,2] 1.5",
+       "line " + std::to_string(last_of_chunk0 + 2) +
+           ": confidence must be in (0,1], got 1.5"},
+  };
+  for (const auto& c : cases) {
+    std::string text = document(c.bad, c.replacement);
+    text += "another bad one\n";  // a later error in a later chunk
+    for (int threads : {1, 2, 4}) {
+      util::ThreadPool pool(threads);
+      ParseOptions options;
+      options.pool = &pool;
+      auto parsed = ParseGraphText(text, options);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().message(), c.message)
+          << "threads=" << threads;
+    }
   }
-  util::ThreadPool pool(4);
-  ParseOptions options;
-  options.pool = &pool;
-  auto parallel = ParseGraphText(text, options);
-  ASSERT_FALSE(parallel.ok());
-  auto serial = ParseGraphText(text);
-  ASSERT_FALSE(serial.ok());
-  EXPECT_EQ(parallel.status().message(), serial.status().message());
-  EXPECT_NE(parallel.status().message().find("line 7003"),
-            std::string::npos)
-      << parallel.status().message();
 }
 
 TEST(RdfIo, FileRoundTrip) {
