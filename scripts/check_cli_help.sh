@@ -20,7 +20,7 @@ FLAGS=(--graph --rules --solver --threshold
        --kb --auth-token-file --data-dir --fsync --max-body-bytes --retain
        --kb-tokens-file --access-log
        --min-support --min-confidence --max-patterns)
-COMMANDS=(stats complete suggest mine validate detect solve gen serve kb
+COMMANDS=(stats complete mine validate detect solve gen serve kb
           verify version)
 
 # Token-anchored match so a flag is not satisfied by a longer flag that

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # tecore-server smoke: start the server on an ephemeral port, drive the
 # paper's demo workflow (load graph -> add rules -> detect -> solve ->
-# edit -> browse) over HTTP with curl — through the legacy /v1 paths and
-# the tenant-scoped /v1/kb/{name} paths — then exercise multi-KB
+# edit -> browse) over HTTP with curl through the tenant-scoped
+# /v1/kb/{name} paths (the default KB first) — then exercise multi-KB
 # isolation, SSE subscriptions, bearer-token auth (second server
 # instance) and clean shutdown on SIGTERM. JSON shapes asserted with
 # python3.
@@ -47,6 +47,7 @@ if [[ -z "$PORT" ]]; then
   exit 1
 fi
 BASE="http://127.0.0.1:$PORT/v1"
+DEF="$BASE/kb/default"
 echo "server up on port $PORT"
 
 fail=0
@@ -76,46 +77,41 @@ assert $assertion, r
   echo "ok   $name"
 }
 
-# 1. select a UTKG (legacy single-KB path -> the default KB).
-request "POST /v1/graph" 200 \
+# 1. select a UTKG (the server's default KB).
+request "POST /v1/kb/default/graph" 200 \
   "r['version'] == 1 and r['num_facts'] == 5 and r['has_graph']" \
-  -X POST "$BASE/graph" -d '{"text":"CR coach Chelsea [2000,2004] 0.9 .\nCR coach Leicester [2015,2017] 0.7 .\nCR playsFor Palermo [1984,1986] 0.5 .\nCR birthDate 1951 [1951,2017] 1.0 .\nCR coach Napoli [2001,2003] 0.6 .\n"}'
-request "GET /v1/graph" 200 "r['num_live_facts'] == 5" "$BASE/graph"
-request "GET /v1/stats" 200 "r['stats']['num_facts'] == 5" "$BASE/stats"
+  -X POST "$DEF/graph" -d '{"text":"CR coach Chelsea [2000,2004] 0.9 .\nCR coach Leicester [2015,2017] 0.7 .\nCR playsFor Palermo [1984,1986] 0.5 .\nCR birthDate 1951 [1951,2017] 1.0 .\nCR coach Napoli [2001,2003] 0.6 .\n"}'
+request "GET /v1/kb/default/graph" 200 "r['num_live_facts'] == 5" "$DEF/graph"
+request "GET /v1/kb/default/stats" 200 "r['stats']['num_facts'] == 5" "$DEF/stats"
 
-# Legacy paths answer with a deprecation pointer at the successor path.
-DEPRECATION="$(curl -sS -D - -o /dev/null "$BASE/graph" 2>>"$LOG" \
-               | grep -i '^Deprecation:' || true)"
-if [[ -z "$DEPRECATION" ]]; then
-  echo "FAIL legacy deprecation header missing" >&2
-  fail=1
-else
-  echo "ok   legacy Deprecation header"
-fi
+# The single-KB /v1/<endpoint> aliases were removed in 0.13.0.
+request "GET /v1/graph (removed alias)" 404 "r['error']['code'] == 'NotFound'" \
+  "$BASE/graph"
 
 # 2. rules, with predicate auto-completion.
-request "GET /v1/complete" 200 "r['completions'] == ['coach']" \
-  "$BASE/complete?prefix=coa"
-request "POST /v1/rules" 200 "r['added'] == 1 and r['num_rules'] == 1" \
-  -X POST "$BASE/rules" -d '{"text":"c2: quad(x, coach, y, t) & quad(x, coach, z, t2) & y != z -> disjoint(t, t2) ."}'
-request "GET /v1/rules" 200 "r['rules'][0]['kind'] == 'constraint'" \
-  "$BASE/rules"
-request "GET /v1/suggest" 200 "'suggestions' in r" "$BASE/suggest"
+request "GET /v1/kb/default/complete" 200 "r['completions'] == ['coach']" \
+  "$DEF/complete?prefix=coa"
+request "POST /v1/kb/default/rules" 200 "r['added'] == 1 and r['num_rules'] == 1" \
+  -X POST "$DEF/rules" -d '{"text":"c2: quad(x, coach, y, t) & quad(x, coach, z, t2) & y != z -> disjoint(t, t2) ."}'
+request "GET /v1/kb/default/rules" 200 "r['rules'][0]['kind'] == 'constraint'" \
+  "$DEF/rules"
+request "POST /v1/kb/default/mine" 200 "'rules' in r and not r['adopted']" \
+  -X POST "$DEF/mine"
 
 # 3. compute.
-request "GET /v1/conflicts" 200 \
+request "GET /v1/kb/default/conflicts" 200 \
   "r['num_conflicts'] == 1 and r['conflicts'][0]['rule'] == 'c2'" \
-  "$BASE/conflicts"
-request "POST /v1/solve" 200 \
+  "$DEF/conflicts"
+request "POST /v1/kb/default/solve" 200 \
   "r['feasible'] and r['removed'] == 1 and 'Napoli' in r['removed_facts'][0]" \
-  -X POST "$BASE/solve" -d '{"solver":"mln"}'
-request "POST /v1/edits" 200 \
+  -X POST "$DEF/solve" -d '{"solver":"mln"}'
+request "POST /v1/kb/default/edits" 200 \
   "r['inserted'] == 1 and r['feasible'] and r['version'] > 3" \
-  -X POST "$BASE/edits" -d '{"script":"+ CR coach Bari [2006,2008] 0.5 .\n"}'
+  -X POST "$DEF/edits" -d '{"script":"+ CR coach Bari [2006,2008] 0.5 .\n"}'
 
 # 4. browse after the edit.
-request "GET /v1/stats (post-edit)" 200 "r['stats']['num_facts'] == 6" \
-  "$BASE/stats"
+request "GET /v1/kb/default/stats (post-edit)" 200 "r['stats']['num_facts'] == 6" \
+  "$DEF/stats"
 
 # 4b. observability: /metrics exposes asserted values (not just a 200).
 METRICS="$(curl -sS "http://127.0.0.1:$PORT/metrics" 2>>"$LOG")"
@@ -142,10 +138,10 @@ else
   fail=1
 fi
 # The access log (stderr) carries one structured line per request.
-if grep -qE 'method=POST path=/v1/solve status=200 bytes=[0-9]+ micros=[0-9]+ request_id=r-' "$LOG"; then
-  echo "ok   access log line for POST /v1/solve"
+if grep -qE 'method=POST path=/v1/kb/default/solve status=200 bytes=[0-9]+ micros=[0-9]+ request_id=r-' "$LOG"; then
+  echo "ok   access log line for POST /v1/kb/default/solve"
 else
-  echo "FAIL access log missing structured line for POST /v1/solve" >&2
+  echo "FAIL access log missing structured line for POST /v1/kb/default/solve" >&2
   fail=1
 fi
 
@@ -168,8 +164,8 @@ request "GET /v1/kb/alpha/graph (isolated)" 200 \
   "r['num_facts'] == 2 and r['version'] == 1" "$BASE/kb/alpha/graph"
 request "GET /v1/kb/beta/graph (isolated)" 200 \
   "r['num_facts'] == 1 and r['version'] == 1" "$BASE/kb/beta/graph"
-request "GET /v1/graph (default isolated)" 200 "r['num_facts'] == 6" \
-  "$BASE/graph"
+request "GET /v1/kb/default/graph (default isolated)" 200 "r['num_facts'] == 6" \
+  "$DEF/graph"
 
 # 5b. constraint mining: mine rules from a KB's own facts (read-only),
 # adopt them through the rule write path, then detect with them.
@@ -212,10 +208,10 @@ request "GET /v1/kb/beta/graph (deleted)" 404 \
 # Error paths: the uniform envelope everywhere.
 request "404" 404 "r['error']['code'] == 'NotFound'" "$BASE/nope"
 request "405" 405 "r['error']['code'] == 'MethodNotAllowed'" \
-  -X DELETE "$BASE/solve"
+  -X DELETE "$DEF/solve"
 request "400 bad json" 400 \
   "r['error']['code'] in ('ParseError','InvalidArgument')" \
-  -X POST "$BASE/graph" -d '{oops'
+  -X POST "$DEF/graph" -d '{oops'
 
 # 6. bearer-token auth on a second server instance: a service token plus
 # one per-KB token scoped to KB 'alpha'.
@@ -333,4 +329,4 @@ if [[ "$fail" -ne 0 ]]; then
   cat "$LOG" >&2
   exit 1
 fi
-echo "server smoke passed (legacy + tenant endpoints, isolation, SSE, auth, metrics, durability, shutdown)"
+echo "server smoke passed (tenant endpoints, isolation, SSE, auth, metrics, durability, shutdown)"

@@ -10,6 +10,22 @@ namespace api {
 
 using util::Json;
 
+namespace {
+
+/// Read an optional count field into `*out` (left unchanged when absent).
+/// Negative values are rejected: cast to size_t they would become SIZE_MAX
+/// and silently lift the cap the field bounds.
+Status GetCount(const Json& json, const char* key, size_t* out) {
+  const int64_t value = json.GetInt(key, static_cast<int64_t>(*out));
+  if (value < 0) {
+    return Status::InvalidArgument(StringPrintf("%s must be >= 0", key));
+  }
+  *out = static_cast<size_t>(value);
+  return Status::OK();
+}
+
+}  // namespace
+
 // ------------------------------------------------------------- requests
 
 Result<SolveRequest> SolveRequest::FromJson(const Json& json) {
@@ -30,12 +46,7 @@ Result<SolveRequest> SolveRequest::FromJson(const Json& json) {
   }
   req.options.derived_threshold =
       json.GetNumber("threshold", req.options.derived_threshold);
-  const int64_t max_facts =
-      json.GetInt("max_facts", static_cast<int64_t>(req.max_facts));
-  if (max_facts < 0) {
-    return Status::InvalidArgument("max_facts must be >= 0");
-  }
-  req.max_facts = static_cast<size_t>(max_facts);
+  TECORE_RETURN_NOT_OK(GetCount(json, "max_facts", &req.max_facts));
   return req;
 }
 
@@ -81,43 +92,22 @@ Result<RulesRequest> RulesRequest::FromJson(const Json& json) {
   return req;
 }
 
-Result<SuggestRequest> SuggestRequest::FromJson(const Json& json) {
-  SuggestRequest req;
-  if (json.is_null()) return req;
-  if (!json.is_object()) {
-    return Status::InvalidArgument("request body must be a JSON object");
-  }
-  req.options.min_support = static_cast<size_t>(json.GetInt(
-      "min_support", static_cast<int64_t>(req.options.min_support)));
-  req.options.min_confidence =
-      json.GetNumber("min_confidence", req.options.min_confidence);
-  req.options.max_predicate_pairs = static_cast<size_t>(
-      json.GetInt("max_predicate_pairs",
-                  static_cast<int64_t>(req.options.max_predicate_pairs)));
-  req.options.max_subject_sample = static_cast<size_t>(
-      json.GetInt("max_subject_sample",
-                  static_cast<int64_t>(req.options.max_subject_sample)));
-  return req;
-}
-
 Result<MineRequest> MineRequest::FromJson(const Json& json) {
   MineRequest req;
   if (json.is_null()) return req;  // empty body -> defaults
   if (!json.is_object()) {
     return Status::InvalidArgument("request body must be a JSON object");
   }
-  req.options.min_support = static_cast<size_t>(json.GetInt(
-      "min_support", static_cast<int64_t>(req.options.min_support)));
+  TECORE_RETURN_NOT_OK(
+      GetCount(json, "min_support", &req.options.min_support));
   req.options.min_confidence =
       json.GetNumber("min_confidence", req.options.min_confidence);
-  req.options.max_patterns = static_cast<size_t>(json.GetInt(
-      "max_patterns", static_cast<int64_t>(req.options.max_patterns)));
-  req.options.max_predicate_pairs = static_cast<size_t>(
-      json.GetInt("max_predicate_pairs",
-                  static_cast<int64_t>(req.options.max_predicate_pairs)));
-  req.options.max_bucket_facts = static_cast<size_t>(
-      json.GetInt("max_bucket_facts",
-                  static_cast<int64_t>(req.options.max_bucket_facts)));
+  TECORE_RETURN_NOT_OK(
+      GetCount(json, "max_patterns", &req.options.max_patterns));
+  TECORE_RETURN_NOT_OK(GetCount(json, "max_predicate_pairs",
+                                &req.options.max_predicate_pairs));
+  TECORE_RETURN_NOT_OK(
+      GetCount(json, "max_bucket_facts", &req.options.max_bucket_facts));
   req.adopt = json.GetBool("adopt", req.adopt);
   if (req.options.min_confidence < 0.0 || req.options.min_confidence > 1.0) {
     return Status::InvalidArgument("min_confidence must be in [0,1]");
@@ -224,23 +214,6 @@ Json CompleteJson(const Snapshot& snapshot, const std::string& prefix) {
     completions.Append(Json::Str(name));
   }
   out.Set("completions", std::move(completions));
-  return out;
-}
-
-Json SuggestJson(const Snapshot& snapshot,
-                 const std::vector<core::Suggestion>& suggestions) {
-  Json out = ResponseEnvelope(snapshot.version);
-  Json items = Json::Array();
-  for (const core::Suggestion& s : suggestions) {
-    Json entry = Json::Object();
-    entry.Set("rule", Json::Str(s.rule.ToString()));
-    entry.Set("support", Json::Int(static_cast<int64_t>(s.support)));
-    entry.Set("violation_rate", Json::Number(s.violation_rate));
-    entry.Set("rationale", Json::Str(s.rationale));
-    items.Append(std::move(entry));
-  }
-  out.Set("num_suggestions", Json::Int(static_cast<int64_t>(items.Size())));
-  out.Set("suggestions", std::move(items));
   return out;
 }
 

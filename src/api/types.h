@@ -9,7 +9,6 @@
 #include "api/registry.h"
 #include "core/conflict.h"
 #include "core/resolver.h"
-#include "core/suggest.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -62,13 +61,6 @@ struct RulesRequest {
   static Result<RulesRequest> FromJson(const util::Json& json);
 };
 
-/// \brief Body of `POST /v1/suggest` (all fields optional).
-struct SuggestRequest {
-  core::SuggestOptions options;
-
-  static Result<SuggestRequest> FromJson(const util::Json& json);
-};
-
 /// \brief Body of `POST /v1/kb/{name}/mine` (all fields optional).
 struct MineRequest {
   mine::MiningOptions options;
@@ -103,10 +95,6 @@ util::Json RulesJson(const Snapshot& snapshot);
 
 /// \brief `GET /v1/complete?prefix=...` — predicate auto-completion.
 util::Json CompleteJson(const Snapshot& snapshot, const std::string& prefix);
-
-/// \brief `GET|POST /v1/suggest` — mined constraint suggestions.
-util::Json SuggestJson(const Snapshot& snapshot,
-                       const std::vector<core::Suggestion>& suggestions);
 
 /// \brief `POST /v1/kb/{name}/mine` — the mining report: ranked rules
 /// with evidence, exact work counters, and the canonical `.tcr` document

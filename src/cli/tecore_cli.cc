@@ -68,7 +68,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: tecore-cli "
-               "<stats|complete|suggest|mine|validate|detect|solve|gen|serve"
+               "<stats|complete|mine|validate|detect|solve|gen|serve"
                "|kb|version>\n"
                "                  [--graph f] [--rules f] [--solver mln|psl]"
                " [--threshold x] [--edits f]\n"
@@ -298,25 +298,6 @@ int main(int argc, char** argv) {
     }
     auto stats = session.GraphStats();
     std::printf("%s\n", stats->ToString().c_str());
-    return 0;
-  }
-
-  if (command == "suggest") {
-    if (!ParseFlags(argc, argv, 2, {"graph"}, &flags)) return Usage();
-    Status st = LoadInputs(flags, &session, /*need_rules=*/false);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    auto suggestions = session.SuggestConstraints();
-    if (!suggestions.ok()) {
-      std::fprintf(stderr, "%s\n", suggestions.status().ToString().c_str());
-      return 1;
-    }
-    for (const core::Suggestion& s : *suggestions) {
-      std::printf("%s\n# evidence: %s\n", s.rule.ToString().c_str(),
-                  s.rationale.c_str());
-    }
     return 0;
   }
 

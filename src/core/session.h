@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "core/compatibility.h"
 #include "core/conflict.h"
 #include "core/edits.h"
 #include "core/resolver.h"
-#include "core/suggest.h"
 #include "kb/statistics.h"
 #include "rdf/graph.h"
 #include "rules/ast.h"
@@ -83,13 +83,6 @@ class Session {
 
   /// \brief All expressivity problems for the chosen solver (empty = OK).
   std::vector<std::string> ValidateRules(rules::SolverKind solver) const;
-
-  /// \brief Mine candidate constraints from the loaded UTKG (the paper's
-  /// "automatic suggestion of constraints" demonstration goal).
-  Result<std::vector<Suggestion>> SuggestConstraints(
-      const SuggestOptions& options = {}) const {
-    return snap().SuggestConstraints(options);
-  }
 
   /// \brief Predicate-level satisfiability pre-check of the current
   /// constraint set (Allen-algebra path consistency).

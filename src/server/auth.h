@@ -47,7 +47,7 @@ Result<KbTokenMap> LoadKbTokensFile(const std::string& path);
 /// \brief What a request is allowed to touch, derived from its path.
 /// `admin` covers tenant lifecycle (list/create/delete) and unrouted
 /// paths; otherwise `kb` names the one tenant the request reads or
-/// writes (legacy paths resolve to the default KB).
+/// writes.
 struct AuthScope {
   bool admin = false;
   std::string kb;

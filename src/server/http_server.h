@@ -65,7 +65,7 @@ class ResponseStream {
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
-  /// Extra response headers (e.g. `Deprecation` on legacy routes).
+  /// Extra response headers (e.g. `Allow` on a 405).
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
   /// When set, this response is a long-lived stream: the server sends

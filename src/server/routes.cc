@@ -207,22 +207,6 @@ HttpResponse HandleComplete(api::Engine* engine,
       200, api::CompleteJson(**snap, request.QueryParam("prefix", "")));
 }
 
-HttpResponse HandleSuggest(api::Engine* engine, const HttpRequest& request) {
-  if (request.method != "GET" && request.method != "POST") {
-    return MethodNotAllowed(request.method, "GET, POST");
-  }
-  auto body = ParseBody(request);
-  if (!body.ok()) return ErrorResponse(body.status());
-  auto req = api::SuggestRequest::FromJson(*body);
-  if (!req.ok()) return ErrorResponse(req.status());
-  auto resolved = ResolveReadSnapshot(engine, request);
-  if (!resolved.ok()) return ErrorResponse(resolved.status());
-  const auto& snap = *resolved;
-  auto suggestions = snap->SuggestConstraints(req->options);
-  if (!suggestions.ok()) return ErrorResponse(suggestions.status());
-  return JsonResponse(200, api::SuggestJson(*snap, *suggestions));
-}
-
 HttpResponse HandleMine(api::Engine* engine, const HttpRequest& request) {
   if (request.method != "POST") {
     return MethodNotAllowed(request.method, "POST");
@@ -595,7 +579,6 @@ HttpResponse DispatchEndpoint(std::shared_ptr<api::Engine> engine,
   if (endpoint == "conflicts") return HandleConflicts(engine.get(), request);
   if (endpoint == "stats") return HandleStats(engine.get(), request);
   if (endpoint == "complete") return HandleComplete(engine.get(), request);
-  if (endpoint == "suggest") return HandleSuggest(engine.get(), request);
   if (endpoint == "mine") return HandleMine(engine.get(), request);
   if (endpoint == "subscribe") {
     return HandleSubscribe(std::move(engine), kb, request);
@@ -607,34 +590,28 @@ HttpResponse DispatchEndpoint(std::shared_ptr<api::Engine> engine,
 
 /// The endpoints DispatchEndpoint serves under /v1/kb/{name}/.
 bool IsKbEndpoint(const std::string& endpoint) {
-  static const char* kEndpoints[] = {"graph",    "rules",   "solve",
+  static const char* kEndpoints[] = {"graph",    "rules",     "solve",
                                      "edits",    "conflicts", "stats",
-                                     "complete", "suggest", "mine",
-                                     "subscribe"};
+                                     "complete", "mine",      "subscribe"};
   for (const char* name : kEndpoints) {
     if (endpoint == name) return true;
   }
   return false;
 }
 
-/// Legacy endpoints of the single-KB protocol, still served (against the
-/// default KB) but marked deprecated: every per-KB endpoint except the
-/// streaming one, which postdates the legacy paths.
-bool IsLegacyEndpoint(const std::string& endpoint) {
-  return endpoint != "subscribe" && IsKbEndpoint(endpoint);
-}
-
 /// Where a request path routes. ScopeFor, EndpointLabel and
 /// HandleApiRequest all derive from this one parse, so auth, metrics and
 /// dispatch cannot disagree about a path.
 struct Route {
-  enum Kind { kNone, kKbCollection, kKbItem, kKbEndpoint, kLegacy };
+  enum Kind { kNone, kKbCollection, kKbItem, kKbEndpoint };
   Kind kind = kNone;     // kNone: unrouted (404)
-  std::string kb;        // the default KB for kLegacy
+  std::string kb;
   std::string endpoint;  // may be unknown under kKbEndpoint (404)
 };
 
-Route ParseRoute(const std::string& path, const std::string& default_kb) {
+/// Parses the path exactly as the HTTP layer hands it over (already
+/// percent-decoded once); no second decoding happens here.
+Route ParseRoute(const std::string& path) {
   if (path == "/v1/kb") return {Route::kKbCollection, "", ""};
   const std::string_view kb_prefix = "/v1/kb/";
   if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
@@ -644,11 +621,6 @@ Route ParseRoute(const std::string& path, const std::string& default_kb) {
     if (kb.empty()) return {};  // "/v1/kb/", "/v1/kb//stats"
     if (slash == std::string::npos) return {Route::kKbItem, kb, ""};
     return {Route::kKbEndpoint, kb, rest.substr(slash + 1)};
-  }
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, v1_prefix.size(), v1_prefix) == 0 &&
-      IsLegacyEndpoint(path.substr(v1_prefix.size()))) {
-    return {Route::kLegacy, default_kb, path.substr(v1_prefix.size())};
   }
   return {};
 }
@@ -678,9 +650,8 @@ const char* StatusClass(int status) {
 
 }  // namespace
 
-AuthScope ScopeFor(const HttpRequest& request,
-                   const std::string& default_kb) {
-  const Route route = ParseRoute(request.path, default_kb);
+AuthScope ScopeFor(const HttpRequest& request) {
+  const Route route = ParseRoute(request.path);
   AuthScope scope;
   scope.kb = route.kb;
   // Reading a KB's digest is KB-scoped, deleting it is admin.
@@ -691,7 +662,7 @@ AuthScope ScopeFor(const HttpRequest& request,
 
 std::string EndpointLabel(const std::string& path) {
   if (path == "/metrics") return "metrics";
-  const Route route = ParseRoute(path, "");
+  const Route route = ParseRoute(path);
   if (route.kind == Route::kKbCollection || route.kind == Route::kKbItem) {
     return "kb";
   }
@@ -706,11 +677,10 @@ HttpResponse HandleApiRequest(api::EngineRegistry* registry,
   if (request.path == "/metrics") return HandleMetrics(request);
 
   Status auth = CheckScopedAuth(options.auth_token, options.kb_tokens,
-                                ScopeFor(request, options.default_kb),
-                                request);
+                                ScopeFor(request), request);
   if (!auth.ok()) return ErrorResponse(auth);
 
-  const Route route = ParseRoute(request.path, options.default_kb);
+  const Route route = ParseRoute(request.path);
   switch (route.kind) {
     case Route::kKbCollection:
       return HandleKbCollection(registry, request);
@@ -721,25 +691,6 @@ HttpResponse HandleApiRequest(api::EngineRegistry* registry,
       if (!engine.ok()) return ErrorResponse(engine.status());
       return DispatchEndpoint(std::move(*engine), route.kb, route.endpoint,
                               request);
-    }
-    case Route::kLegacy: {
-      // Legacy single-KB paths: /v1/<endpoint> → the default KB, plus a
-      // deprecation pointer at the tenant-scoped successor.
-      auto engine = registry->Get(options.default_kb);
-      if (!engine.ok()) {
-        return ErrorResponse(Status::NotFound(StringPrintf(
-            "legacy path %s needs the default kb '%s', which does not exist",
-            request.path.c_str(), options.default_kb.c_str())));
-      }
-      HttpResponse out = DispatchEndpoint(std::move(*engine),
-                                          options.default_kb, route.endpoint,
-                                          request);
-      out.headers.emplace_back("Deprecation", "true");
-      out.headers.emplace_back(
-          "Link", StringPrintf("</v1/kb/%s/%s>; rel=\"successor-version\"",
-                               options.default_kb.c_str(),
-                               route.endpoint.c_str()));
-      return out;
     }
     case Route::kNone:
       break;

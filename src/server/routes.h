@@ -24,8 +24,6 @@ struct RouterOptions {
   /// authorizes exactly that KB's endpoints; presenting it against
   /// another KB or an admin endpoint is 403 (see CheckScopedAuth).
   KbTokenMap kb_tokens;
-  /// The tenant behind the legacy single-KB `/v1/<endpoint>` paths.
-  std::string default_kb = "default";
   /// When set, every completed request is logged as one structured line
   /// (see obs/access_log.h). Null disables access logging.
   std::shared_ptr<obs::AccessLog> access_log;
@@ -48,13 +46,9 @@ struct RouterOptions {
 ///   GET  /v1/kb/{n}/conflicts      detection report (?limit=N)
 ///   GET  /v1/kb/{n}/stats          statistics panel
 ///   GET  /v1/kb/{n}/complete       predicate completion (?prefix=p)
-///   GET|POST /v1/kb/{n}/suggest    mined constraint suggestions
+///   POST /v1/kb/{n}/mine           mine constraints, optionally adopt them
 ///   GET  /v1/kb/{n}/subscribe      server-sent events: one `snapshot`
 ///                                  event per publish (?max_events=N)
-///
-/// The legacy single-KB paths (`/v1/graph`, …) keep working against
-/// `options.default_kb` and answer with a `Deprecation: true` header plus
-/// a `Link: </v1/kb/{default}/…>; rel="successor-version"` pointer.
 ///
 /// `GET /metrics` serves the Prometheus text exposition of the process
 /// metrics registry. It is auth-exempt (scrapers hold no tokens) and
@@ -72,7 +66,7 @@ HttpResponse HandleApiRequest(api::EngineRegistry* registry,
 /// lifecycle (the /v1/kb collection, DELETE of a KB) and every path that
 /// names no KB — so a per-KB token probing outside its KB sees 403, never
 /// 404. Derived from the same path parse as dispatch.
-AuthScope ScopeFor(const HttpRequest& request, const std::string& default_kb);
+AuthScope ScopeFor(const HttpRequest& request);
 
 /// \brief Bounded-cardinality endpoint label for request metrics: a
 /// per-KB endpoint name the path routes to, "kb" for tenant lifecycle,

@@ -20,6 +20,10 @@ namespace server {
 
 namespace {
 
+/// The KB every server starts with, so a fresh service has a tenant to
+/// load into without a create call first.
+constexpr char kDefaultKb[] = "default";
+
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void HandleStopSignal(int) { g_stop_requested = 1; }
@@ -44,8 +48,7 @@ void PrintServeUsage() {
                "  --kb name           KB that --graph/--rules preload into"
                " (created if\n"
                "                      missing; default \"default\", which"
-               " also serves the\n"
-               "                      legacy /v1/... paths)\n"
+               " always exists)\n"
                "  --graph f           preload a \".tq\" UTKG before serving\n"
                "  --rules f           preload a rule file before serving\n"
                "  --auth-token-file f require 'Authorization: Bearer"
@@ -107,7 +110,7 @@ int RunServe(int argc, char** argv, int first_arg) {
   int pool_threads = 0;
   std::string graph_file;
   std::string rules_file;
-  std::string preload_kb = "default";
+  std::string preload_kb = kDefaultKb;
   std::string auth_token_file;
   std::string kb_tokens_file;
   std::string data_dir;
@@ -225,7 +228,7 @@ int RunServe(int argc, char** argv, int first_arg) {
   }
 
   // The registry owns the shared worker pool and every tenant engine.
-  // "default" always exists so the legacy single-KB /v1/... paths work.
+  // "default" always exists, so a fresh server has a KB to load into.
   api::EngineRegistry::Options registry_options;
   registry_options.num_threads = pool_threads;
   registry_options.data_dir = data_dir;
@@ -245,13 +248,13 @@ int RunServe(int argc, char** argv, int first_arg) {
     }
     recovered_kbs = recovered->size();
   }
-  auto default_kb = GetOrCreateKb(&registry, router.default_kb);
-  if (!default_kb.ok()) {
-    std::fprintf(stderr, "%s\n", default_kb.status().ToString().c_str());
+  auto default_engine = GetOrCreateKb(&registry, kDefaultKb);
+  if (!default_engine.ok()) {
+    std::fprintf(stderr, "%s\n", default_engine.status().ToString().c_str());
     return 1;
   }
-  std::shared_ptr<api::Engine> preload = *default_kb;
-  if (preload_kb != router.default_kb) {
+  std::shared_ptr<api::Engine> preload = *default_engine;
+  if (preload_kb != kDefaultKb) {
     auto created = GetOrCreateKb(&registry, preload_kb);
     if (!created.ok()) {
       std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
@@ -299,8 +302,8 @@ int RunServe(int argc, char** argv, int first_arg) {
     auth_desc = StringPrintf("%zu kb tokens", router.kb_tokens.size());
   }
   std::printf("  kbs: %zu (default '%s'%s) · auth: %s · durability: %s\n",
-              registry.size(), router.default_kb.c_str(),
-              preload_kb != router.default_kb
+              registry.size(), kDefaultKb,
+              preload_kb != kDefaultKb
                   ? StringPrintf(", preloaded '%s'", preload_kb.c_str())
                         .c_str()
                   : "",

@@ -9,10 +9,9 @@ void PrintServeUsage();
 
 /// \brief Entry point shared by the `tecore-server` binary and
 /// `tecore-cli serve`: parse flags from argv[first_arg..), build the
-/// multi-tenant engine registry (a `default` KB always exists so the
-/// legacy `/v1/…` paths work), optionally preload a graph and rules,
-/// start the HTTP server and block until SIGINT/SIGTERM. Returns a
-/// process exit code.
+/// multi-tenant engine registry (a `default` KB always exists),
+/// optionally preload a graph and rules, start the HTTP server and block
+/// until SIGINT/SIGTERM. Returns a process exit code.
 ///
 /// Flags: --host h (default 127.0.0.1), --port n (default 8080, 0 =
 /// ephemeral), --threads n (shared connection-worker pool, 0 = auto),

@@ -3,7 +3,7 @@
 // The demo paper presents TeCoRe as an interactive web service; this
 // binary is that service as infrastructure: a thread-safe api::Engine
 // behind an embedded HTTP/1.1 server. Reads (stats, conflict browsing,
-// completion, suggestions) run against immutable snapshots and never block
+// completion, mining) run against immutable snapshots and never block
 // writes; writes (graph/rule loads, solves, edit batches) are serialized
 // and publish new snapshots atomically. See docs/api.md for the endpoint
 // reference and README for a curl walkthrough of the paper's workflow.

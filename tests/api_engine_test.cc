@@ -47,7 +47,7 @@ TEST(ApiEngine, PristineSnapshotIsVersionZero) {
   EXPECT_FALSE(
       engine.ApplyEditScript("+ a p b [1,2] .", core::ResolveOptions()).ok());
   EXPECT_FALSE(snap->DetectConflicts().ok());
-  EXPECT_FALSE(snap->SuggestConstraints().ok());
+  EXPECT_FALSE(snap->MineConstraints().ok());
 }
 
 TEST(ApiEngine, WritesBumpVersionMonotonically) {

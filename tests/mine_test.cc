@@ -11,6 +11,7 @@
 #include "rules/ast.h"
 #include "rules/parser.h"
 #include "temporal/interval.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace tecore {
@@ -21,6 +22,13 @@ namespace {
 rdf::TemporalGraph NoisyFootball(size_t players) {
   datagen::FootballDbOptions gen;
   gen.num_players = players;
+  return std::move(datagen::GenerateFootballDb(gen).graph);
+}
+
+rdf::TemporalGraph FootballWithNoise(size_t players, double noise_rate) {
+  datagen::FootballDbOptions gen;
+  gen.num_players = players;
+  gen.noise_rate = noise_rate;
   return std::move(datagen::GenerateFootballDb(gen).graph);
 }
 
@@ -122,11 +130,14 @@ TEST(Miner, MinedRulesDetectTheInjectedConflicts) {
 TEST(Miner, MinedRulesSolveEndToEnd) {
   core::Session session;
   session.SetGraph(NoisyFootball(120));
-  const MiningReport report = Miner().Mine(session.graph());
-  ASSERT_FALSE(report.rules.empty());
+  // Mine through the session's snapshot, as the constraint workbench does.
+  auto report = session.engine().snapshot()->MineConstraints();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->rules.empty());
   auto added = session.AddRulesText(
-      rules::WriteRulesText(report.ToRuleSet()));
+      rules::WriteRulesText(report->ToRuleSet()));
   ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_TRUE(session.AnalyzeRuleCompatibility().possibly_consistent);
   auto result = session.Resolve({});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->feasible);
@@ -200,6 +211,65 @@ TEST(Miner, EmptyGraphMinesNothing) {
   auto parsed = rules::ParseRules(WriteMinedRulesText(report, {}));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Size(), 0u);
+}
+
+TEST(Miner, CleanCareersYieldHardDisjointness) {
+  const MiningReport report = Miner().Mine(FootballWithNoise(500, 0.0));
+  const MinedRule* disjoint = FindByName(report, "disjoint_playsFor");
+  ASSERT_NE(disjoint, nullptr);
+  EXPECT_EQ(disjoint->violations, 0u);  // clean data: no overlaps
+  EXPECT_GT(disjoint->support, 20u);
+  EXPECT_TRUE(disjoint->rule.IsConstraint());
+  EXPECT_TRUE(disjoint->rule.hard);
+}
+
+TEST(Miner, ModerateNoiseYieldsSoftDisjointness) {
+  const MiningReport report = Miner().Mine(FootballWithNoise(500, 0.4));
+  const MinedRule* disjoint = FindByName(report, "disjoint_playsFor");
+  ASSERT_NE(disjoint, nullptr);
+  EXPECT_GT(disjoint->violations, 0u);  // injected overlaps
+  EXPECT_FALSE(disjoint->rule.hard);
+  EXPECT_NEAR(disjoint->confidence, 0.78, 0.01);
+}
+
+TEST(Miner, SilentOnChaoticPredicate) {
+  // Random overlapping memberships with many objects: no constraint holds.
+  rdf::TemporalGraph graph;
+  Rng rng(7);
+  for (int s = 0; s < 40; ++s) {
+    for (int i = 0; i < 4; ++i) {
+      const int64_t b = rng.UniformRange(2000, 2004);  // heavy overlap
+      ASSERT_TRUE(graph
+                      .AddQuad("s" + std::to_string(s), "tag",
+                               "o" + std::to_string(rng.UniformRange(0, 9)),
+                               temporal::Interval(b, b + 5), 0.9)
+                      .ok());
+    }
+  }
+  const MiningReport report = Miner().Mine(graph);
+  EXPECT_EQ(FindByName(report, "disjoint_tag"), nullptr);
+  EXPECT_EQ(FindByName(report, "functional_tag"), nullptr);
+}
+
+TEST(Miner, RespectsMinSupport) {
+  // Three pairwise-disjoint same-subject facts: 3 supporting pairs.
+  rdf::TemporalGraph graph;
+  ASSERT_TRUE(
+      graph.AddQuad("a", "memberOf", "x", temporal::Interval(0, 1), 0.9).ok());
+  ASSERT_TRUE(
+      graph.AddQuad("a", "memberOf", "y", temporal::Interval(3, 4), 0.9).ok());
+  ASSERT_TRUE(
+      graph.AddQuad("a", "memberOf", "z", temporal::Interval(6, 7), 0.9).ok());
+  MiningOptions options;
+  options.min_support = 20;
+  EXPECT_TRUE(Miner(options).Mine(graph).rules.empty());
+  // Lowering the threshold surfaces it.
+  options.min_support = 2;
+  const MiningReport report = Miner(options).Mine(graph);
+  const MinedRule* disjoint = FindByName(report, "disjoint_memberOf");
+  ASSERT_NE(disjoint, nullptr);
+  EXPECT_EQ(disjoint->support, 3u);
+  EXPECT_FALSE(disjoint->rule.body[0].predicate.is_variable());
 }
 
 TEST(WriteRulesText, RoundTripsBitExactly) {

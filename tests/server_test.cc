@@ -1,7 +1,7 @@
 // tecore-server integration: real sockets against an in-process
 // HttpServer on an ephemeral port — the full paper workflow (load graph →
 // add rules → solve → edit → browse) over HTTP, the multi-tenant layer
-// (KB lifecycle, isolation, legacy-path deprecation, bearer-token auth,
+// (KB lifecycle, isolation, percent-decoding, bearer-token auth,
 // SSE subscriptions, chunked request bodies) and protocol edges
 // (404/405/400/401/403/501 with the uniform error envelope, keep-alive,
 // concurrent clients during writes).
@@ -159,9 +159,9 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
-  // 1. select a UTKG (legacy single-KB path → default KB).
+  // 1. select a UTKG (the server's default KB).
   util::Json graph = BodyOf(Http(
-      port_, "POST", "/v1/graph",
+      port_, "POST", "/v1/kb/default/graph",
       "{\"text\":\"CR coach Chelsea [2000,2004] 0.9 .\\n"
       "CR coach Leicester [2015,2017] 0.7 .\\n"
       "CR playsFor Palermo [1984,1986] 0.5 .\\n"
@@ -172,22 +172,24 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
 
   // 2. rules, with predicate auto-completion.
   util::Json complete =
-      BodyOf(Http(port_, "GET", "/v1/complete?prefix=coa"));
+      BodyOf(Http(port_, "GET", "/v1/kb/default/complete?prefix=coa"));
   ASSERT_EQ(complete.Find("completions")->items().size(), 1u);
   EXPECT_EQ(complete.Find("completions")->items()[0].string_value(),
             "coach");
   util::Json rules = BodyOf(Http(
-      port_, "POST", "/v1/rules",
+      port_, "POST", "/v1/kb/default/rules",
       "{\"text\":\"c2: quad(x, coach, y, t) & quad(x, coach, z, t') & "
       "y != z -> disjoint(t, t') .\"}"));
   EXPECT_EQ(rules.GetInt("added", -1), 1);
   EXPECT_EQ(rules.GetInt("num_rules", -1), 1);
 
   // 3. compute: conflicts, then the most probable conflict-free KG.
-  util::Json conflicts = BodyOf(Http(port_, "GET", "/v1/conflicts"));
+  util::Json conflicts =
+      BodyOf(Http(port_, "GET", "/v1/kb/default/conflicts"));
   EXPECT_EQ(conflicts.GetInt("num_conflicts", -1), 1);
   util::Json solve =
-      BodyOf(Http(port_, "POST", "/v1/solve", "{\"solver\":\"mln\"}"));
+      BodyOf(Http(port_, "POST", "/v1/kb/default/solve",
+                  "{\"solver\":\"mln\"}"));
   EXPECT_TRUE(solve.GetBool("feasible", false));
   EXPECT_EQ(solve.GetInt("removed", -1), 1);
   ASSERT_EQ(solve.Find("removed_facts")->items().size(), 1u);
@@ -197,39 +199,35 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
 
   // Edits: incremental re-solve over HTTP.
   util::Json edits = BodyOf(
-      Http(port_, "POST", "/v1/edits",
+      Http(port_, "POST", "/v1/kb/default/edits",
            "{\"script\":\"+ CR coach Bari [2006,2008] 0.5 .\\n\"}"));
   EXPECT_EQ(edits.GetInt("inserted", -1), 1);
   EXPECT_GT(edits.GetInt("version", -1), solve.GetInt("version", -1));
   EXPECT_TRUE(edits.GetBool("feasible", false));
 
-  // 4. browse statistics and suggestions.
-  util::Json stats = BodyOf(Http(port_, "GET", "/v1/stats"));
+  // 4. browse statistics and mined constraint suggestions.
+  util::Json stats = BodyOf(Http(port_, "GET", "/v1/kb/default/stats"));
   EXPECT_EQ(stats.Find("stats")->GetInt("num_facts", -1), 6);
-  util::Json suggest = BodyOf(Http(port_, "GET", "/v1/suggest"));
-  EXPECT_NE(suggest.Find("suggestions"), nullptr);
-  util::Json info = BodyOf(Http(port_, "GET", "/v1/graph"));
+  util::Json mined = BodyOf(Http(port_, "POST", "/v1/kb/default/mine"));
+  EXPECT_NE(mined.Find("rules"), nullptr);
+  util::Json info = BodyOf(Http(port_, "GET", "/v1/kb/default/graph"));
   EXPECT_TRUE(info.GetBool("has_result", false));
-
-  // The same workflow is reachable at the tenant-scoped successor path.
-  util::Json scoped = BodyOf(Http(port_, "GET", "/v1/kb/default/graph"));
-  EXPECT_EQ(scoped.GetInt("num_facts", -1), 6);
+  EXPECT_EQ(info.GetInt("num_facts", -1), 6);
 }
 
-TEST_F(ServerTest, LegacyPathsCarryDeprecationHeaders) {
-  ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .").ok());
-  const std::string legacy = Http(port_, "GET", "/v1/graph");
-  EXPECT_EQ(StatusOf(legacy), 200);
-  EXPECT_TRUE(HasHeader(legacy, "Deprecation: true")) << legacy;
-  EXPECT_TRUE(HasHeader(
-      legacy, "Link: </v1/kb/default/graph>; rel=\"successor-version\""))
-      << legacy;
-  // The successor path answers identically, without the deprecation mark.
-  const std::string scoped = Http(port_, "GET", "/v1/kb/default/graph");
-  EXPECT_EQ(StatusOf(scoped), 200);
-  EXPECT_FALSE(HasHeader(scoped, "Deprecation: true")) << scoped;
-  EXPECT_EQ(BodyOf(legacy).GetInt("num_facts", -1),
-            BodyOf(scoped).GetInt("num_facts", -1));
+TEST_F(ServerTest, PathsArePercentDecodedOnce) {
+  // The HTTP layer percent-decodes the request path exactly once before
+  // routing; RouteTable.ScopeLabelAndDispatchAgree pins the router side.
+  ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .\n").ok());
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default/st%61ts")), 200);
+  EXPECT_EQ(BodyOf(Http(port_, "GET", "/v1/%6Bb")).GetInt("num_kbs", -1), 1);
+  // An encoded slash is a path separator: "default%2Fstats" is KB
+  // "default"'s stats endpoint, "default%2Fb/stats" its endpoint "b/stats".
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default%2Fstats")), 200);
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default%2Fb/stats")), 404);
+  // A double-encoded byte stays one literal '%' and matches nothing.
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default/st%2561ts")), 404);
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/%256Bb")), 404);
 }
 
 TEST_F(ServerTest, KbLifecycleAndIsolation) {
@@ -297,21 +295,24 @@ TEST_F(ServerTest, ErrorEnvelopeIsUniform) {
   EXPECT_EQ(ErrorCodeOf(BodyOf(Http(port_, "GET", "/v1/kb/ghost/stats"))),
             "NotFound");
   // 405 — wrong method.
-  const std::string mna = Http(port_, "DELETE", "/v1/solve");
+  const std::string mna = Http(port_, "DELETE", "/v1/kb/default/solve");
   EXPECT_EQ(StatusOf(mna), 405);
   EXPECT_EQ(ErrorCodeOf(BodyOf(mna)), "MethodNotAllowed");
   EXPECT_TRUE(HasHeader(mna, "Allow: POST")) << mna;
   // 400 — malformed JSON and domain validation.
-  util::Json bad = BodyOf(Http(port_, "POST", "/v1/graph", "{oops"));
+  util::Json bad =
+      BodyOf(Http(port_, "POST", "/v1/kb/default/graph", "{oops"));
   EXPECT_EQ(ErrorCodeOf(bad), "ParseError");
-  EXPECT_EQ(ErrorCodeOf(BodyOf(Http(port_, "POST", "/v1/graph", "{}"))),
-            "InvalidArgument");
-  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/stats")), 400);  // no graph
-  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/solve")), 400);  // no graph
+  EXPECT_EQ(
+      ErrorCodeOf(BodyOf(Http(port_, "POST", "/v1/kb/default/graph", "{}"))),
+      "InvalidArgument");
+  // No graph loaded yet.
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default/stats")), 400);
+  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/solve")), 400);
   // 501 — transfer encodings we must not guess at.
   const std::string gzip = RawRequest(
       port_,
-      "POST /v1/graph HTTP/1.1\r\nHost: t\r\n"
+      "POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
       "Transfer-Encoding: gzip\r\n\r\n");
   EXPECT_EQ(StatusOf(gzip), 501) << gzip;
   EXPECT_EQ(ErrorCodeOf(BodyOf(gzip)), "Unsupported");
@@ -396,8 +397,9 @@ TEST_F(ServerTest, ChunkedRequestBodiesAreDecoded) {
 TEST_F(ServerTest, KeepAliveServesSequentialRequests) {
   ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .").ok());
   const std::string two =
-      "GET /v1/graph HTTP/1.1\r\nHost: t\r\n\r\n"
-      "GET /v1/graph HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+      "GET /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n\r\n"
+      "GET /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+      "Connection: close\r\n\r\n";
   const std::string response = RawRequest(port_, two);
   // Two complete responses on one connection.
   size_t first = response.find("HTTP/1.1 200");
@@ -421,7 +423,8 @@ TEST_F(ServerTest, ConcurrentReadsDuringWrites) {
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([this, &failures] {
       for (int i = 0; i < 10; ++i) {
-        const std::string response = Http(port_, "GET", "/v1/graph");
+        const std::string response =
+            Http(port_, "GET", "/v1/kb/default/graph");
         if (StatusOf(response) != 200) {
           ++failures;
           return;
@@ -441,7 +444,8 @@ TEST_F(ServerTest, ConcurrentReadsDuringWrites) {
     const std::string script = StringPrintf(
         "{\"script\":\"+ CR coach club%d [%d,%d] 0.5 .\\n\"}", b, 2006 + b,
         2007 + b);
-    EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/edits", script)), 200);
+    EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/edits", script)),
+              200);
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
@@ -689,6 +693,24 @@ TEST_F(ServerTest, MineEndpointDiscoversAndAdoptsRules) {
   EXPECT_EQ(conflicts.GetInt("num_conflicts", -1), 0);  // clean data
 }
 
+TEST_F(ServerTest, MineRejectsNegativeCaps) {
+  // A negative cap cast to size_t would become SIZE_MAX and lift the bound
+  // on the quadratic pair scan; each count field is rejected instead.
+  ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .\n").ok());
+  for (const char* field : {"min_support", "max_patterns",
+                            "max_predicate_pairs", "max_bucket_facts"}) {
+    SCOPED_TRACE(field);
+    const std::string response =
+        Http(port_, "POST", "/v1/kb/default/mine",
+             StringPrintf("{\"%s\":-1}", field));
+    EXPECT_EQ(StatusOf(response), 400) << response;
+    EXPECT_EQ(ErrorCodeOf(BodyOf(response)), "InvalidArgument");
+  }
+  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/mine",
+                          "{\"max_bucket_facts\":0}")),
+            200);
+}
+
 TEST_F(ServerTest, AsOfTimeTravelReads) {
   // Every read endpoint accepts ?as_of=<version> and serves the retained
   // snapshot of that version: valid → 200, garbage → 400, never-published
@@ -728,7 +750,7 @@ TEST_F(ServerTest, AsOfTimeTravelReads) {
   EXPECT_EQ(
       StatusOf(Http(port_, "GET", "/v1/kb/tt/complete?prefix=p&as_of=1")),
       200);
-  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/tt/suggest?as_of=1")), 200);
+  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/tt/mine?as_of=1")), 200);
 
   // Garbage and out-of-range versions.
   EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/tt/graph?as_of=banana")),
@@ -906,16 +928,17 @@ TEST_F(ServerTest, MetricsEndpointExposesAssertedValues) {
 
 TEST_F(ServerTest, MetricsCountPipelineStages) {
   const std::string before = TextBodyOf(Http(port_, "GET", "/metrics"));
-  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/graph",
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/graph",
                           "{\"text\":\"x coach a [1,5] 0.9 .\\n"
                           "x coach b [2,6] 0.8 .\\n\"}")),
             200);
   ASSERT_EQ(StatusOf(Http(
-                port_, "POST", "/v1/rules",
+                port_, "POST", "/v1/kb/default/rules",
                 "{\"text\":\"c1: quad(x, coach, y, t) & "
                 "quad(x, coach, z, t') & y != z -> disjoint(t, t') .\"}")),
             200);
-  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/solve", "{}")), 200);
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/solve", "{}")),
+            200);
   const std::string after = TextBodyOf(Http(port_, "GET", "/metrics"));
   const auto delta = [&](const char* stage) {
     const std::string series = StringPrintf(
@@ -1061,12 +1084,13 @@ TEST_F(ServerTest, PerKbTokensScopeAccessToTheirKb) {
             200);
   EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/kb/alpha", "", alpha)), 200);
 
-  // …and nowhere else: sibling KBs, the legacy default KB, admin surface.
+  // …and nowhere else: sibling KBs, the default KB, admin surface.
   const std::string cross =
       Http(*port, "GET", "/v1/kb/beta/stats", "", alpha);
   EXPECT_EQ(StatusOf(cross), 403);
   EXPECT_EQ(ErrorCodeOf(BodyOf(cross)), "PermissionDenied");
-  EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/stats", "", alpha)), 403);
+  EXPECT_EQ(
+      StatusOf(Http(*port, "GET", "/v1/kb/default/stats", "", alpha)), 403);
   EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/kb", "", alpha)), 403);
   EXPECT_EQ(StatusOf(Http(*port, "DELETE", "/v1/kb/alpha", "", alpha)), 403);
   EXPECT_EQ(StatusOf(Http(*port, "POST", "/v1/kb", "{\"name\":\"x\"}",
@@ -1114,7 +1138,8 @@ TEST(RouteTable, ScopeLabelAndDispatchAgree) {
       {"PUT", "/v1/kb/a/stats", false, "a", "stats", 405},
       {"POST", "/v1/kb/a/subscribe", false, "a", "subscribe", 405},
       {"GET", "/v1/kb/ghost/stats", false, "ghost", "stats", 404},
-      {"GET", "/v1/stats", false, "default", "stats", 200},
+      {"GET", "/v1/kb/a/suggest", false, "a", "other", 404},
+      {"GET", "/v1/stats", true, "", "other", 404},
       {"GET", "/v1/subscribe", true, "", "other", 404},
       {"GET", "/v1/kb/", true, "", "other", 404},
       {"GET", "/v1/kb//stats", true, "", "other", 404},
@@ -1126,6 +1151,13 @@ TEST(RouteTable, ScopeLabelAndDispatchAgree) {
       {"GET", "/", true, "", "other", 404},
       {"GET", "/v1/kb/" + long_kb, false, long_kb, "kb", 404},
       {"GET", "/v1/kb/" + long_kb + "/stats", false, long_kb, "stats", 404},
+      // The router sees the path after the HTTP layer's one percent-decode
+      // and never decodes again: these are the wire targets "a%252Fb",
+      // "st%2561ts" and "%256Bb" (ServerTest.PathsArePercentDecodedOnce
+      // covers the wire side).
+      {"GET", "/v1/kb/a%2Fb/stats", false, "a%2Fb", "stats", 404},
+      {"GET", "/v1/kb/a/st%61ts", false, "a", "other", 404},
+      {"GET", "/v1/%6Bb", true, "", "other", 404},
   };
   RouterOptions open;
   RouterOptions scoped;
@@ -1136,7 +1168,7 @@ TEST(RouteTable, ScopeLabelAndDispatchAgree) {
     HttpRequest request;
     request.method = row.method;
     request.path = row.path;
-    const AuthScope scope = ScopeFor(request, open.default_kb);
+    const AuthScope scope = ScopeFor(request);
     EXPECT_EQ(scope.admin, row.admin);
     EXPECT_EQ(scope.kb, row.kb);
     EXPECT_EQ(EndpointLabel(row.path), row.label);
