@@ -8,8 +8,7 @@
 // --fsync always), then boot-time recovery of the store those writes
 // produced.
 //
-// `--json out.json` writes BENCH_durability.json; `--smoke` shrinks the
-// workload for CI.
+// `--smoke` shrinks the workload for CI.
 
 #include <cstdio>
 #include <cstring>
@@ -25,7 +24,6 @@
 #include "storage/fs.h"
 #include "storage/kb_storage.h"
 #include "storage/wal.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -76,21 +74,15 @@ std::shared_ptr<api::Engine> DurableEngine(const std::string& dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: bench_durability [--json out] [--smoke]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else {
+      std::fprintf(stderr, "usage: bench_durability [--smoke]\n");
+      return 2;
     }
   }
-  BenchJson json("bench_durability");
   storage::RemoveDirRecursive("bench_durability_tmp");
 
   std::printf("=== durability: WAL append overhead & recovery ===\n\n");
@@ -117,10 +109,6 @@ int main(int argc, char** argv) {
     std::printf("raw append (%s): %zu records, %.2f us/record\n",
                 sync ? "fsync each" : "fsync once", raw_records,
                 per_record_us);
-    json.NewRecord(StringPrintf("wal/raw/%s",
-                                sync ? "fsync_each" : "fsync_once"));
-    json.Metric("records", static_cast<double>(raw_records));
-    json.Metric("us_per_record", per_record_us);
   }
   std::printf("\n");
 
@@ -131,6 +119,7 @@ int main(int argc, char** argv) {
   datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
   const std::string graph_text = rdf::WriteGraphText(kg.graph);
 
+  std::printf("end-to-end: %zu edit batches per mode\n", batches);
   Table table({"mode", "ms/batch", "overhead"});
   double baseline_ms = 0.0;
   struct Mode {
@@ -158,10 +147,6 @@ int main(int argc, char** argv) {
         baseline_ms > 0.0 ? (ms - baseline_ms) / baseline_ms : 0.0;
     table.AddRow({mode.name, StringPrintf("%.3f", ms),
                   StringPrintf("%+.1f%%", 100.0 * overhead)});
-    json.NewRecord(StringPrintf("engine/%s", mode.name));
-    json.Metric("batches", static_cast<double>(batches));
-    json.Metric("ms_per_batch", ms);
-    json.Metric("overhead_frac", overhead);
   }
   std::printf("%s\n", table.ToAscii().c_str());
 
@@ -177,14 +162,7 @@ int main(int argc, char** argv) {
                   ? recovered->snapshot()->graph->NumLiveFacts()
                   : 0,
               recover_ms);
-  json.NewRecord("recovery/boot");
-  json.Metric("version", static_cast<double>(recovered->version()));
-  json.Metric("time_ms", recover_ms);
 
   storage::RemoveDirRecursive("bench_durability_tmp");
-  if (!json_path.empty() && !json.WriteFile(json_path)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return 0;
 }

@@ -1,12 +1,8 @@
 // A3 — grounding ablations: semi-naive delta evaluation of the fixpoint,
 // early condition evaluation during the body join, and connected-component
 // decomposition at solve time.
-//
-// `--json out.json` additionally writes the measurements machine-readably
-// (see util/bench_json.h) so successive PRs can track the perf trajectory.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "datagen/generators.h"
@@ -14,7 +10,6 @@
 #include "mln/solver.h"
 #include "rules/library.h"
 #include "rules/parser.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -37,18 +32,11 @@ double GroundOnce(datagen::GeneratedKg* kg, const rules::RuleSet& rules,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: bench_grounding [--json out]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    }
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: bench_grounding\n");
+    return 2;
   }
-  BenchJson json("bench_grounding");
 
   std::printf("=== A3: grounding & decomposition ablation ===\n\n");
 
@@ -68,7 +56,7 @@ int main(int argc, char** argv) {
   full.Merge(*inference);
 
   Table delta_table({"players", "naive ms", "semi-naive ms", "speedup",
-                     "network (equal)"});
+                     "atoms", "clauses", "network (equal)"});
   bool networks_match = true;
   for (size_t players : {500, 1000, 2000}) {
     datagen::FootballDbOptions gen;
@@ -91,13 +79,8 @@ int main(int argc, char** argv) {
     delta_table.AddRow({std::to_string(players), StringPrintf("%.1f", naive),
                         StringPrintf("%.1f", delta),
                         StringPrintf("%.2fx", naive / delta),
-                        match ? "yes" : "NO"});
-    json.NewRecord(StringPrintf("seminaive/players=%zu", players));
-    json.Metric("naive_ms", naive);
-    json.Metric("seminaive_ms", delta);
-    json.Metric("speedup", naive / delta);
-    json.Metric("atoms", static_cast<double>(atoms_delta));
-    json.Metric("clauses", static_cast<double>(clauses_delta));
+                        std::to_string(atoms_delta),
+                        std::to_string(clauses_delta), match ? "yes" : "NO"});
   }
   std::printf("%s\n", delta_table.ToAscii().c_str());
   std::printf("shape (delta evaluation, same ground network): %s\n\n",
@@ -144,10 +127,6 @@ int main(int argc, char** argv) {
                          StringPrintf("%.1f", late),
                          StringPrintf("%.2fx", late / early),
                          clauses_early == clauses_late ? "yes" : "NO"});
-    json.NewRecord(StringPrintf("conditions/players=%zu", players));
-    json.Metric("early_ms", early);
-    json.Metric("late_ms", late);
-    json.Metric("speedup", late / early);
   }
   std::printf("%s\n", ground_table.ToAscii().c_str());
   std::printf("shape (early evaluation prunes the join, same output): %s\n\n",
@@ -159,8 +138,8 @@ int main(int argc, char** argv) {
   // deterministically, so the network must be identical at every N; the
   // wall time is what scales (flat on a 1-core container — see
   // docs/benchmarks.md).
-  Table scale_table(
-      {"ground threads", "time ms", "speedup", "network (equal)"});
+  Table scale_table({"ground threads", "time ms", "speedup", "atoms",
+                     "clauses", "network (equal)"});
   {
     rules::RuleSet scaling_rules = *constraints;
     scaling_rules.Merge(*inference);
@@ -187,13 +166,8 @@ int main(int argc, char** argv) {
       scale_match = scale_match && match;
       scale_table.AddRow({std::to_string(threads), StringPrintf("%.1f", ms),
                           StringPrintf("%.2fx", base_ms / ms),
+                          std::to_string(atoms), std::to_string(clauses),
                           match ? "yes" : "NO"});
-      json.NewRecord(StringPrintf("ground_threads/threads=%d", threads));
-      json.Metric("threads", static_cast<double>(threads));
-      json.Metric("time_ms", ms);
-      json.Metric("speedup_vs_1t", base_ms / ms);
-      json.Metric("atoms", static_cast<double>(atoms));
-      json.Metric("clauses", static_cast<double>(clauses));
     }
     std::printf("%s\n", scale_table.ToAscii().c_str());
     std::printf("shape (parallel grounding, identical network): %s\n\n",
@@ -231,11 +205,6 @@ int main(int argc, char** argv) {
                         StringPrintf("%.2f", solution->objective),
                         solution->optimal ? "proven" : "budget hit",
                         std::to_string(solution->num_components)});
-    json.NewRecord(use_components ? "solve/per-component"
-                                  : "solve/monolithic");
-    json.Metric("time_ms", ms);
-    json.Metric("objective", solution->objective);
-    json.Metric("components", static_cast<double>(solution->num_components));
   }
   std::printf("%s\n", solve_table.ToAscii().c_str());
   std::printf("shape (decomposition: provably optimal AND >= anytime "
@@ -243,10 +212,5 @@ int main(int argc, char** argv) {
               component_objective >= monolithic_objective - 1e-6
                   ? "MATCH"
                   : "MISMATCH");
-
-  if (!json_path.empty() && !json.WriteFile(json_path)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return 0;
 }

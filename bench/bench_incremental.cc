@@ -8,8 +8,7 @@
 // re-solve with MAP-state splicing) against a from-scratch Resolver::Run
 // on the edited KB, asserting the two agree bit-exactly on the objective.
 //
-// `--json out.json` writes the measurements machine-readably
-// (BENCH_incremental.json); `--smoke` shrinks the workload for CI.
+// `--smoke` shrinks the workload for CI.
 
 #include <cstdio>
 #include <cstring>
@@ -22,7 +21,6 @@
 #include "datagen/generators.h"
 #include "rules/library.h"
 #include "rules/parser.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -90,20 +88,15 @@ std::vector<core::GraphEdit> MakeBatch(rdf::TemporalGraph* graph, Rng* rng,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: bench_incremental [--json out] [--smoke]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else {
+      std::fprintf(stderr, "usage: bench_incremental [--smoke]\n");
+      return 2;
     }
   }
-  BenchJson json("bench_incremental");
 
   std::printf("=== incremental re-solve vs full pipeline (teammate join) ===\n\n");
 
@@ -138,9 +131,6 @@ int main(int argc, char** argv) {
   const double init_ms = init_timer.ElapsedMillis();
   std::printf("initial solve: %zu facts, %zu components, %.1f ms\n\n",
               kg.graph.NumLiveFacts(), init->num_components, init_ms);
-  json.NewRecord(StringPrintf("incremental/players=%zu/initial", players));
-  json.Metric("facts", static_cast<double>(kg.graph.NumLiveFacts()));
-  json.Metric("time_ms", init_ms);
 
   Table table({"edit batch", "full ms", "incremental ms", "speedup",
                "spliced/re-solved", "objective (equal)"});
@@ -182,17 +172,6 @@ int main(int argc, char** argv) {
                   StringPrintf("%zu/%zu", inc->spliced_components,
                                inc->dirty_components),
                   match ? "yes" : "NO"});
-    json.NewRecord(StringPrintf("incremental/players=%zu/batch=%zu", players,
-                                batch_size));
-    json.Metric("batch", static_cast<double>(batch_size));
-    json.Metric("full_ms", full_ms);
-    json.Metric("incremental_ms", inc_ms);
-    json.Metric("speedup", speedup);
-    json.Metric("spliced_components",
-                static_cast<double>(inc->spliced_components));
-    json.Metric("dirty_components",
-                static_cast<double>(inc->dirty_components));
-    json.Metric("objective_match", match ? 1.0 : 0.0);
   }
   std::printf("%s\n", table.ToAscii().c_str());
   std::printf("shape (incremental bit-identical to full pipeline): %s\n",
@@ -201,10 +180,5 @@ int main(int argc, char** argv) {
               "(%.1fx)\n",
               single_edit_speedup >= 5.0 ? "MATCH" : "MISMATCH",
               single_edit_speedup);
-
-  if (!json_path.empty() && !json.WriteFile(json_path)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return all_match ? 0 : 1;
 }

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "mln/solver.h"
 #include "psl/solver.h"
 #include "rules/library.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -97,19 +95,10 @@ RunStats Measure(const rules::RuleSet& rules, rules::SolverKind solver,
 
 int main(int argc, char** argv) {
   int runs = 10;  // paper: "averaged over 10 runs"
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: bench_map_runtime [runs] [--json out]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else {
-      runs = std::atoi(argv[i]);
-    }
+  if (argc > 2 || (argc == 2 && (runs = std::atoi(argv[1])) <= 0)) {
+    std::fprintf(stderr, "usage: bench_map_runtime [runs]\n");
+    return 2;
   }
-  BenchJson json("bench_map_runtime");
 
   auto constraints = rules::FootballConstraints();
   auto inference = rules::FootballInferenceRules();
@@ -145,12 +134,6 @@ int main(int argc, char** argv) {
   std::printf("note: per-player decomposition makes exact MAP faster than\n"
               "ADMM here — an improvement over the paper's stack; the\n"
               "paper's ordering appears in the coupled setting below.\n\n");
-  json.NewRecord("decoupled/mln");
-  json.Metric("mean_ms", mln_a.mean_ms);
-  json.Metric("objective", mln_a.objective);
-  json.NewRecord("decoupled/psl");
-  json.Metric("mean_ms", psl_a.mean_ms);
-  json.Metric("objective", psl_a.objective);
 
   // ------------------------------------------------- (a') thread scaling
   // Per-component solving is embarrassingly parallel; measure the solve
@@ -165,7 +148,7 @@ int main(int argc, char** argv) {
     auto grounding = grounder.Run();
     if (!grounding.ok()) return 1;
     Table scale_table({"threads", "mln solve ms", "psl solve ms",
-                       "objective (equal)"});
+                       "objective", "objective (equal)"});
     double base_objective = 0.0;
     bool objectives_match = true;
     for (int threads : {1, 2, 4}) {
@@ -190,11 +173,8 @@ int main(int argc, char** argv) {
       scale_table.AddRow({std::to_string(threads),
                           StringPrintf("%.0f", mln_ms),
                           StringPrintf("%.0f", psl_ms),
+                          StringPrintf("%.2f", mln_solution->objective),
                           match ? "yes" : "NO"});
-      json.NewRecord(StringPrintf("scaling/threads=%d", threads));
-      json.Metric("mln_solve_ms", mln_ms);
-      json.Metric("psl_solve_ms", psl_ms);
-      json.Metric("objective", mln_solution->objective);
     }
     std::printf("%s\n", scale_table.ToAscii().c_str());
     std::printf("shape (identical objective for all thread counts): %s\n\n",
@@ -227,10 +207,6 @@ int main(int argc, char** argv) {
                     mln_b.optimal ? "proven" : "budget hit",
                     StringPrintf("%.0f", psl_b.mean_ms),
                     StringPrintf("%.2fx", ratio)});
-    json.NewRecord(StringPrintf("coupled/players=%zu", players));
-    json.Metric("mln_ms", mln_b.mean_ms);
-    json.Metric("psl_ms", psl_b.mean_ms);
-    json.Metric("ratio", ratio);
   }
   std::printf("%s\n", table_b.ToAscii().c_str());
 
@@ -240,9 +216,5 @@ int main(int argc, char** argv) {
               "%.2fx\n", final_ratio);
   std::printf("shape (nPSL faster once rules couple the network): %s\n",
               psl_wins_at_scale ? "MATCH" : "MISMATCH");
-  if (!json_path.empty() && !json.WriteFile(json_path)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return psl_wins_at_scale ? 0 : 1;
 }

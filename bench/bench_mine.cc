@@ -8,7 +8,6 @@
 // document and the serialized graph are byte-identical at 1, 2 and 4
 // threads.
 //
-// `--json out.json` writes the measurements (BENCH_mining.json);
 // `--smoke` shrinks the workload for CI.
 
 #include <cstdio>
@@ -19,7 +18,6 @@
 #include "datagen/generators.h"
 #include "mine/miner.h"
 #include "rdf/io.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -28,16 +26,9 @@
 using namespace tecore;  // NOLINT
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: bench_mine [--json out] [--smoke]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
@@ -48,9 +39,8 @@ int main(int argc, char** argv) {
   const std::vector<size_t> sizes =
       smoke ? std::vector<size_t>{500, 2000}
             : std::vector<size_t>{2000, 6500, 20000};
-  BenchJson json("mining");
   Table table({"players", "facts", "load ms", "par load ms", "mine ms",
-               "considered", "emitted", "top rule", "deterministic"});
+               "considered", "pairs", "emitted", "top rule", "deterministic"});
   bool shape_ok = true;
 
   for (size_t players : sizes) {
@@ -120,30 +110,13 @@ int main(int argc, char** argv) {
                   StringPrintf("%.1f", par_ms),
                   StringPrintf("%.1f", mine_ms),
                   std::to_string(report.patterns_considered),
+                  std::to_string(report.pairs_examined),
                   std::to_string(report.rules.size()), top_rule,
                   deterministic ? "yes" : "NO"});
-    json.NewRecord(StringPrintf("mine/players=%zu", players));
-    json.Metric("facts", static_cast<double>(serial->NumLiveFacts()));
-    json.Metric("load_serial_ms", serial_ms);
-    json.Metric("load_parallel_ms", par_ms);
-    json.Metric("mine_ms", mine_ms);
-    json.Metric("patterns_considered",
-                static_cast<double>(report.patterns_considered));
-    json.Metric("rules_emitted", static_cast<double>(report.rules.size()));
-    json.Metric("pairs_examined",
-                static_cast<double>(report.pairs_examined));
-    json.Metric("top_rule_is_planted_disjointness",
-                top_is_disjoint ? 1.0 : 0.0);
-    json.Metric("deterministic", deterministic ? 1.0 : 0.0);
   }
   std::printf("%s\n", table.ToAscii().c_str());
   std::printf("shape (planted disjoint_playsFor first by support, output "
               "byte-identical at 1/2/4 threads): %s\n",
               shape_ok ? "MATCH" : "MISMATCH");
-
-  if (!json_path.empty() && !json.WriteFile(json_path)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return shape_ok ? 0 : 1;
 }

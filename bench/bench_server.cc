@@ -10,8 +10,7 @@
 // on, and how little spreading reads over several KBs costs relative to
 // one KB. Keep-alive connections, one per client thread.
 //
-// `--json out.json` writes the measurements machine-readably
-// (BENCH_server.json); `--smoke` shrinks the workload for CI.
+// `--smoke` shrinks the workload for CI.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -31,7 +30,6 @@
 #include "rules/library.h"
 #include "server/http_server.h"
 #include "server/routes.h"
-#include "util/bench_json.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -155,12 +153,8 @@ obs::Histogram::Snapshot Merge(
   return out;
 }
 
-/// Records server-side p50/p95/p99 (µs) of one distribution into the
-/// current bench record and echoes them on stdout.
-void RecordLatency(BenchJson* bench, const obs::Histogram::Snapshot& snap) {
-  bench->Metric("p50_micros", static_cast<double>(snap.Quantile(0.50)));
-  bench->Metric("p95_micros", static_cast<double>(snap.Quantile(0.95)));
-  bench->Metric("p99_micros", static_cast<double>(snap.Quantile(0.99)));
+/// Prints server-side p50/p95/p99 (µs) of one distribution.
+void PrintLatency(const obs::Histogram::Snapshot& snap) {
   std::printf("    server-side latency: p50=%llu µs p95=%llu µs p99=%llu µs\n",
               static_cast<unsigned long long>(snap.Quantile(0.50)),
               static_cast<unsigned long long>(snap.Quantile(0.95)),
@@ -242,19 +236,12 @@ bool SeedEngine(api::Engine* engine, size_t players, unsigned seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: bench_server [--json out] [--smoke]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
-      std::fprintf(stderr, "usage: bench_server [--json out] [--smoke]\n");
+      std::fprintf(stderr, "usage: bench_server [--smoke]\n");
       return 2;
     }
   }
@@ -297,7 +284,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  BenchJson bench("server_throughput");
   std::printf("bench_server: %zu players, %zu req/client, port %d\n",
               players, requests_each, *port);
 
@@ -315,14 +301,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double rps = 1000.0 * static_cast<double>(completed) / ms;
-    bench.NewRecord(StringPrintf("readonly/clients=%d", clients));
-    bench.Metric("clients", clients);
-    bench.Metric("requests", static_cast<double>(completed));
-    bench.Metric("total_ms", ms);
-    bench.Metric("requests_per_sec", rps);
     std::printf("  readonly clients=%d: %zu req in %.1f ms (%.0f req/s)\n",
                 clients, completed, ms, rps);
-    RecordLatency(&bench, DeltaSince(base));
+    PrintLatency(DeltaSince(base));
   }
 
   // ---- mixed: 3 readers + 1 edit client ----
@@ -364,19 +345,12 @@ int main(int argc, char** argv) {
     }
     const double rps = 1000.0 * static_cast<double>(completed) / ms;
     const size_t edits = edits_done.load();
-    bench.NewRecord("mixed/readers=3+editor=1");
-    bench.Metric("read_requests", static_cast<double>(completed));
-    bench.Metric("total_ms", ms);
-    bench.Metric("read_requests_per_sec", rps);
-    bench.Metric("edit_batches", static_cast<double>(edits));
-    bench.Metric("edit_ms_mean",
-                 edits == 0 ? 0.0 : edit_ms_total / static_cast<double>(edits));
     std::printf(
         "  mixed readers=3: %zu req in %.1f ms (%.0f req/s), "
         "%zu edit batches (%.1f ms/batch)\n",
         completed, ms, rps, edits,
         edits == 0 ? 0.0 : edit_ms_total / static_cast<double>(edits));
-    RecordLatency(&bench, DeltaSince(base));
+    PrintLatency(DeltaSince(base));
   }
 
   // ---- multi-tenant: 4 clients, reads spread over 4 KBs ----
@@ -398,46 +372,27 @@ int main(int argc, char** argv) {
       return 1;
     }
     const double rps = 1000.0 * static_cast<double>(completed) / ms;
-    bench.NewRecord(StringPrintf("multitenant/kbs=%d/clients=%d", kTenants,
-                                 kTenants));
-    bench.Metric("kbs", kTenants);
-    bench.Metric("clients", kTenants);
-    bench.Metric("requests", static_cast<double>(completed));
-    bench.Metric("total_ms", ms);
-    bench.Metric("requests_per_sec", rps);
     std::printf("  multitenant kbs=%d clients=%d: %zu req in %.1f ms"
                 " (%.0f req/s)\n",
                 kTenants, kTenants, completed, ms, rps);
-    RecordLatency(&bench, DeltaSince(base));
+    PrintLatency(DeltaSince(base));
   }
 
   // ---- per-endpoint latency distribution over the whole run ----
   for (const std::string& endpoint : kTimedEndpoints) {
     const obs::Histogram::Snapshot snap = SnapEndpoint(endpoint);
     if (snap.count == 0) continue;
-    bench.NewRecord(StringPrintf("latency/%s", endpoint.c_str()));
-    bench.Metric("requests", static_cast<double>(snap.count));
-    bench.Metric("mean_micros", static_cast<double>(snap.sum) /
-                                    static_cast<double>(snap.count));
-    bench.Metric("p50_micros", static_cast<double>(snap.Quantile(0.50)));
-    bench.Metric("p95_micros", static_cast<double>(snap.Quantile(0.95)));
-    bench.Metric("p99_micros", static_cast<double>(snap.Quantile(0.99)));
-    std::printf("  latency %s: n=%llu p50=%llu µs p95=%llu µs p99=%llu µs\n",
+    std::printf("  latency %s: n=%llu mean=%.0f µs p50=%llu µs p95=%llu µs "
+                "p99=%llu µs\n",
                 endpoint.c_str(),
                 static_cast<unsigned long long>(snap.count),
+                static_cast<double>(snap.sum) /
+                    static_cast<double>(snap.count),
                 static_cast<unsigned long long>(snap.Quantile(0.50)),
                 static_cast<unsigned long long>(snap.Quantile(0.95)),
                 static_cast<unsigned long long>(snap.Quantile(0.99)));
   }
 
   http.Stop();
-
-  if (!json_path.empty()) {
-    if (!bench.WriteFile(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
   return 0;
 }

@@ -9,8 +9,7 @@
 // publish strategies on the same evolving graph, plus the matching
 // statistics paths (incremental accumulator emit vs from-scratch scan).
 //
-// `--json out.json` writes the measurements machine-readably
-// (BENCH_snapshot.json); `--smoke` shrinks the workload for CI.
+// `--smoke` shrinks the workload for CI.
 
 #include <cstdio>
 #include <cstring>
@@ -20,7 +19,6 @@
 #include "kb/statistics.h"
 #include "rdf/graph.h"
 #include "temporal/interval.h"
-#include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -56,17 +54,9 @@ void ApplyEdits(rdf::TemporalGraph* graph, kb::StatsAccumulator* acc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: bench_snapshot [--json out] [--smoke]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
@@ -76,7 +66,6 @@ int main(int argc, char** argv) {
 
   const size_t num_facts = smoke ? 20000 : 100000;
   const int iters = smoke ? 10 : 40;
-  BenchJson json("snapshot_publish");
 
   rdf::TemporalGraph graph;
   kb::StatsAccumulator acc;
@@ -103,8 +92,8 @@ int main(int argc, char** argv) {
               graph.NumLiveFacts(), graph.NumChunks(),
               rdf::TemporalGraph::kChunkSize);
 
-  Table table({"edit batch", "clone ms", "cow ms", "speedup",
-               "chunks copied/cycle"});
+  Table table({"edit batch", "facts", "chunks", "clone ms", "cow ms",
+               "speedup", "chunks copied/cycle"});
   bool shape_ok = true;
   double single_edit_speedup = 0.0;
   for (size_t k : std::vector<size_t>{1, 16, 256}) {
@@ -138,18 +127,12 @@ int main(int argc, char** argv) {
 
     const double speedup = deep_ms / cow_ms;
     if (k == 1) single_edit_speedup = speedup;
-    table.AddRow({std::to_string(k), StringPrintf("%.3f", deep_ms),
+    table.AddRow({std::to_string(k), std::to_string(graph.NumLiveFacts()),
+                  std::to_string(graph.NumChunks()),
+                  StringPrintf("%.3f", deep_ms),
                   StringPrintf("%.3f", cow_ms),
                   StringPrintf("%.1fx", speedup),
                   StringPrintf("%.1f", copied_per_cycle)});
-    json.NewRecord(StringPrintf("snapshot/facts=%zu/edit=%zu", num_facts,
-                                k));
-    json.Metric("facts", static_cast<double>(graph.NumLiveFacts()));
-    json.Metric("chunks", static_cast<double>(graph.NumChunks()));
-    json.Metric("clone_ms", deep_ms);
-    json.Metric("cow_ms", cow_ms);
-    json.Metric("speedup", speedup);
-    json.Metric("chunks_copied_per_cycle", copied_per_cycle);
   }
   std::printf("%s\n", table.ToAscii().c_str());
 
@@ -168,20 +151,11 @@ int main(int argc, char** argv) {
       incremental_stats.num_facts == scratch_stats.num_facts;
   std::printf("stats: emit %.3f ms vs scan %.3f ms (bit-identical: %s)\n",
               emit_ms, scan_ms, stats_match ? "yes" : "NO");
-  json.NewRecord(StringPrintf("stats/facts=%zu", num_facts));
-  json.Metric("emit_ms", emit_ms);
-  json.Metric("scan_ms", scan_ms);
-  json.Metric("bit_identical", stats_match ? 1.0 : 0.0);
 
   shape_ok = stats_match && single_edit_speedup >= 5.0;
   std::printf("shape (single-fact edit publish >= 5x faster than deep "
               "clone): %s (%.1fx)\n",
               single_edit_speedup >= 5.0 ? "MATCH" : "MISMATCH",
               single_edit_speedup);
-
-  if (!json_path.empty() && !json.WriteFile(json_path)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return shape_ok ? 0 : 1;
 }

@@ -49,3 +49,17 @@ if [[ "$missing" -ne 0 ]]; then
   exit 1
 fi
 echo "usage text mentions all ${#FLAGS[@]} options and ${#COMMANDS[@]} subcommands"
+
+# A malformed numeric flag is a usage error (exit 2), never an abort
+# (exit 134 from an uncaught parse exception).
+bad_value() {
+  "$CLI" "$@" >/dev/null 2>&1
+  local code=$?
+  if [[ "$code" -ne 2 ]]; then
+    echo "tecore-cli $* exited $code, want 2 (usage error)" >&2
+    exit 1
+  fi
+}
+bad_value gen --size zz
+bad_value solve --threshold abc
+echo "malformed --size and --threshold values are usage errors"

@@ -13,10 +13,12 @@ using util::Json;
 namespace {
 
 /// Read an optional count field into `*out` (left unchanged when absent).
-/// Negative values are rejected: cast to size_t they would become SIZE_MAX
+/// Non-integral, non-finite and beyond-2^53 numbers are rejected by
+/// `GetInt`; negative ones here: cast to size_t they would become SIZE_MAX
 /// and silently lift the cap the field bounds.
 Status GetCount(const Json& json, const char* key, size_t* out) {
-  const int64_t value = json.GetInt(key, static_cast<int64_t>(*out));
+  TECORE_ASSIGN_OR_RETURN(value,
+                          json.GetInt(key, static_cast<int64_t>(*out)));
   if (value < 0) {
     return Status::InvalidArgument(StringPrintf("%s must be >= 0", key));
   }

@@ -6,7 +6,7 @@ namespace api {
 
 /// \brief Library/binary release version (SemVer), reported by
 /// `tecore-cli --version` and every server response envelope.
-inline constexpr const char kTecoreVersion[] = "0.13.0";
+inline constexpr const char kTecoreVersion[] = "0.14.0";
 
 /// \brief Wire-protocol major version — the `/v1` in endpoint paths.
 /// Bumped only on breaking changes to the request/response schemas.

@@ -257,17 +257,21 @@ int main(int argc, char** argv) {
     }
     const std::string dataset =
         flags.count("dataset") ? flags["dataset"] : "football";
-    const size_t size =
-        flags.count("size") ? static_cast<size_t>(std::stoull(flags["size"]))
-                            : 0;
+    int64_t size = 0;
+    if (flags.count("size") &&
+        (!ParseInt64(flags["size"], &size) || size < 0)) {
+      std::fprintf(stderr, "invalid --size value '%s'\n",
+                   flags["size"].c_str());
+      return 2;
+    }
     rdf::TemporalGraph graph;
     if (dataset == "football") {
       datagen::FootballDbOptions options;
-      if (size > 0) options.num_players = size;
+      if (size > 0) options.num_players = static_cast<size_t>(size);
       graph = std::move(datagen::GenerateFootballDb(options).graph);
     } else if (dataset == "wikidata") {
       datagen::WikidataOptions options;
-      if (size > 0) options.target_facts = size;
+      if (size > 0) options.target_facts = static_cast<size_t>(size);
       graph = std::move(datagen::GenerateWikidata(options).graph);
     } else if (dataset == "example") {
       graph = datagen::RunningExampleGraph(true);
@@ -428,17 +432,20 @@ int main(int argc, char** argv) {
                     &flags)) {
       return Usage();
     }
-    Status st = LoadInputs(flags, &session, /*need_rules=*/true);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
     core::ResolveOptions options;
     if (flags.count("solver") && flags["solver"] == "psl") {
       options.solver = rules::SolverKind::kPsl;
     }
-    if (flags.count("threshold")) {
-      options.derived_threshold = std::stod(flags["threshold"]);
+    if (flags.count("threshold") &&
+        !ParseDouble(flags["threshold"], &options.derived_threshold)) {
+      std::fprintf(stderr, "invalid --threshold value '%s'\n",
+                   flags["threshold"].c_str());
+      return 2;
+    }
+    Status st = LoadInputs(flags, &session, /*need_rules=*/true);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
     }
     auto run = [&]() -> Result<core::ResolveResult> {
       if (!flags.count("edits")) return session.Resolve(options);

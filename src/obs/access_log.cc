@@ -22,7 +22,9 @@ std::string IsoTimestampUtc() {
   const int sub_micros = static_cast<int>(micros % 1000000);
   std::tm tm_utc{};
   gmtime_r(&seconds, &tm_utc);
-  char buf[40];
+  // Worst case: seven ints of up to 11 chars ("-2147483648"), seven
+  // literal characters and the terminating NUL.
+  char buf[7 * 11 + 7 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%06dZ",
                 tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
                 tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec, sub_micros);

@@ -25,6 +25,19 @@ std::string RulesFileName(uint64_t version) {
                       static_cast<unsigned long long>(version));
 }
 
+/// An integer MANIFEST field (`fallback` when absent). A number that is
+/// not an exact integer marks the manifest corrupt.
+Result<int64_t> ManifestInt(const util::Json& object, const char* key,
+                            int64_t fallback, const std::string& dir) {
+  auto value = object.GetInt(key, fallback);
+  if (!value.ok()) {
+    return Status::IoError(StringPrintf("MANIFEST in %s is corrupt: %s",
+                                        dir.c_str(),
+                                        value.status().message().c_str()));
+  }
+  return value;
+}
+
 /// Describe one data file in the manifest.
 util::Json FileEntry(const std::string& name, const std::string& contents) {
   util::Json entry = util::Json::Object();
@@ -48,10 +61,10 @@ Result<std::string> LoadVerifiedFile(const std::string& dir,
                                         dir.c_str(), key));
   }
   TECORE_ASSIGN_OR_RETURN(contents, ReadFile(JoinPath(dir, name)));
-  const auto expected_bytes =
-      static_cast<uint64_t>(entry->GetInt("bytes", -1));
-  const auto expected_crc =
-      static_cast<uint32_t>(entry->GetInt("crc32", -1));
+  TECORE_ASSIGN_OR_RETURN(bytes, ManifestInt(*entry, "bytes", -1, dir));
+  TECORE_ASSIGN_OR_RETURN(crc, ManifestInt(*entry, "crc32", -1, dir));
+  const auto expected_bytes = static_cast<uint64_t>(bytes);
+  const auto expected_crc = static_cast<uint32_t>(crc);
   if (contents.size() != expected_bytes) {
     return Status::IoError(StringPrintf(
         "checkpoint file %s/%s: %zu bytes, manifest says %llu", dir.c_str(),
@@ -127,14 +140,15 @@ Result<Checkpoint> LoadCheckpoint(const std::string& dir) {
                                         parsed.status().message().c_str()));
   }
   const util::Json& manifest = *parsed;
-  const int64_t format = manifest.GetInt("format", -1);
+  TECORE_ASSIGN_OR_RETURN(format, ManifestInt(manifest, "format", -1, dir));
   if (format != kManifestFormat) {
     return Status::IoError(StringPrintf(
         "MANIFEST in %s has unsupported format %lld", dir.c_str(),
         static_cast<long long>(format)));
   }
+  TECORE_ASSIGN_OR_RETURN(version, ManifestInt(manifest, "version", 0, dir));
   Checkpoint cp;
-  cp.version = static_cast<uint64_t>(manifest.GetInt("version", 0));
+  cp.version = static_cast<uint64_t>(version);
   cp.has_graph = manifest.GetBool("has_graph", true);
   TECORE_ASSIGN_OR_RETURN(graph_text,
                           LoadVerifiedFile(dir, manifest, "graph"));

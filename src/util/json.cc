@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -34,9 +35,22 @@ double Json::GetNumber(std::string_view key, double fallback) const {
   return v != nullptr && v->is_number() ? v->number_value() : fallback;
 }
 
-int64_t Json::GetInt(std::string_view key, int64_t fallback) const {
+int64_t Json::int_value() const {
+  if (std::isnan(number_)) return 0;
+  return static_cast<int64_t>(
+      std::clamp(number_, -kMaxExactInt, kMaxExactInt));
+}
+
+Result<int64_t> Json::GetInt(std::string_view key, int64_t fallback) const {
   const Json* v = Find(key);
-  return v != nullptr && v->is_number() ? v->int_value() : fallback;
+  if (v == nullptr || !v->is_number()) return fallback;
+  const double n = v->number_;
+  if (!(std::fabs(n) <= kMaxExactInt) || std::trunc(n) != n) {
+    return Status::InvalidArgument(StringPrintf(
+        "%.*s must be an integer of magnitude at most 2^53",
+        static_cast<int>(key.size()), key.data()));
+  }
+  return static_cast<int64_t>(n);
 }
 
 bool Json::GetBool(std::string_view key, bool fallback) const {
@@ -93,7 +107,7 @@ void Json::DumpTo(std::string* out) const {
       break;
     case Kind::kNumber:
       if (is_int_ || (std::floor(number_) == number_ && std::isfinite(number_) &&
-                      std::fabs(number_) < 9.007199254740992e15)) {
+                      std::fabs(number_) < kMaxExactInt)) {
         *out += StringPrintf("%lld", static_cast<long long>(number_));
       } else if (std::isfinite(number_)) {
         *out += FormatDoubleExact(number_);
@@ -236,7 +250,7 @@ class Parser {
     if (!ParseDouble(text_.substr(start, pos_ - start), &value)) {
       return Error("malformed number");
     }
-    if (is_int && std::fabs(value) < 9.007199254740992e15) {
+    if (is_int && std::fabs(value) < Json::kMaxExactInt) {
       return Json::Int(static_cast<int64_t>(value));
     }
     return Json::Number(value);

@@ -27,6 +27,9 @@ class Json {
  public:
   enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Largest integer magnitude a number (a double) holds exactly: 2^53.
+  static constexpr double kMaxExactInt = 9007199254740992.0;
+
   Json() : kind_(Kind::kNull) {}
 
   static Json Null() { return Json(); }
@@ -76,7 +79,10 @@ class Json {
 
   bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
-  int64_t int_value() const { return static_cast<int64_t>(number_); }
+  /// \brief The number truncated toward zero and clamped to
+  /// ±kMaxExactInt (NaN reads as 0): defined for every double, and exact
+  /// for every integer `GetInt` accepts.
+  int64_t int_value() const;
   const std::string& string_value() const { return string_; }
 
   // ----- array -----
@@ -101,7 +107,10 @@ class Json {
   // Typed member accessors with defaults — the shape used when decoding
   // request bodies where every field is optional.
   double GetNumber(std::string_view key, double fallback) const;
-  int64_t GetInt(std::string_view key, int64_t fallback) const;
+  /// `fallback` when absent or not a number; InvalidArgument naming `key`
+  /// when the number is not an integer of magnitude <= 2^53 (fractional,
+  /// non-finite, or too large for a double to hold exactly).
+  Result<int64_t> GetInt(std::string_view key, int64_t fallback) const;
   bool GetBool(std::string_view key, bool fallback) const;
   std::string GetString(std::string_view key, std::string fallback) const;
 

@@ -228,16 +228,16 @@ TEST(ApiEngine, DtoJsonShapes) {
   auto snap = engine.snapshot();
 
   util::Json info = api::GraphInfoJson(*snap);
-  EXPECT_EQ(info.GetInt("version", -1), 2);
-  EXPECT_EQ(info.GetInt("num_facts", -1), 5);
+  EXPECT_EQ(*info.GetInt("version", -1), 2);
+  EXPECT_EQ(*info.GetInt("num_facts", -1), 5);
   EXPECT_TRUE(info.GetBool("has_graph", false));
 
   util::Json stats = api::StatsJson(*snap);
   ASSERT_NE(stats.Find("stats"), nullptr);
-  EXPECT_EQ(stats.Find("stats")->GetInt("num_facts", -1), 5);
+  EXPECT_EQ(*stats.Find("stats")->GetInt("num_facts", -1), 5);
 
   util::Json rules = api::RulesJson(*snap);
-  EXPECT_EQ(rules.GetInt("num_rules", -1), 1);
+  EXPECT_EQ(*rules.GetInt("num_rules", -1), 1);
   EXPECT_EQ(rules.Find("rules")->items()[0].GetString("kind", ""),
             "constraint");
 
@@ -253,6 +253,31 @@ TEST(ApiEngine, DtoJsonShapes) {
   EXPECT_FALSE(api::SolveRequest::FromJson(
                    *util::Json::Parse("{\"solver\":\"nope\"}"))
                    .ok());
+}
+
+TEST(ApiEngine, CountFieldsRejectNumbersThatAreNotExactCounts) {
+  // 1e30 used to reach an undefined double -> int64 cast and came back
+  // as "must be >= 0"; 1.5 was silently truncated.
+  for (const char* value : {"1e30", "1.5", "-1"}) {
+    auto solve = api::SolveRequest::FromJson(*util::Json::Parse(
+        StringPrintf("{\"max_facts\":%s}", value)));
+    ASSERT_FALSE(solve.ok()) << value;
+    EXPECT_EQ(solve.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(solve.status().message().find("max_facts"), std::string::npos)
+        << solve.status().message();
+    auto mine = api::MineRequest::FromJson(*util::Json::Parse(
+        StringPrintf("{\"max_bucket_facts\":%s}", value)));
+    ASSERT_FALSE(mine.ok()) << value;
+    EXPECT_EQ(mine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mine.status().message().find("max_bucket_facts"),
+              std::string::npos)
+        << mine.status().message();
+  }
+  // The largest exact integer is still a valid count.
+  auto big = api::MineRequest::FromJson(
+      *util::Json::Parse("{\"max_bucket_facts\":9007199254740992}"));
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_EQ(big->options.max_bucket_facts, size_t{1} << 53);
 }
 
 TEST(ApiEngine, PublishListenersSeeEveryVersionInOrder) {

@@ -147,12 +147,12 @@ TEST(DurabilityServer, AcknowledgedWritesSurviveRestart) {
         BodyOf(Http(first.port(), "POST", "/v1/kb/durable/graph",
                     "{\"text\":\"CR coach Chelsea [2000,2004] 0.9 .\\n"
                     "CR coach Napoli [2001,2003] 0.6 .\\n\"}"));
-    EXPECT_EQ(graph.GetInt("num_facts", -1), 2);
+    EXPECT_EQ(*graph.GetInt("num_facts", -1), 2);
     util::Json edits =
         BodyOf(Http(first.port(), "POST", "/v1/kb/durable/edits",
                     "{\"script\":\"+ CR coach Bari [2006,2008] 0.5 .\\n\"}"));
-    EXPECT_EQ(edits.GetInt("inserted", -1), 1);
-    version = edits.GetInt("version", -1);
+    EXPECT_EQ(*edits.GetInt("inserted", -1), 1);
+    version = *edits.GetInt("version", -1);
     ASSERT_GT(version, 0);
   }  // server stopped, registry destroyed — only the data dir remains
 
@@ -160,8 +160,8 @@ TEST(DurabilityServer, AcknowledgedWritesSurviveRestart) {
   ASSERT_GT(second.port(), 0);
   util::Json graph = BodyOf(Http(second.port(), "GET",
                                  "/v1/kb/durable/graph"));
-  EXPECT_EQ(graph.GetInt("num_facts", -1), 3);
-  EXPECT_EQ(graph.GetInt("version", -1), version);
+  EXPECT_EQ(*graph.GetInt("num_facts", -1), 3);
+  EXPECT_EQ(*graph.GetInt("version", -1), version);
   // And the recovered KB is fully operational, not just readable.
   util::Json solve =
       BodyOf(Http(second.port(), "POST", "/v1/kb/durable/solve"));

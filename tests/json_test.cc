@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/string_util.h"
 
 namespace tecore {
@@ -54,11 +56,36 @@ TEST(Json, DoubleRoundTripIsBitExact) {
 TEST(Json, TypedAccessorsWithDefaults) {
   auto parsed = Json::Parse("{\"threads\":4,\"solver\":\"psl\"}");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetInt("threads", 0), 4);
-  EXPECT_EQ(parsed->GetInt("missing", 7), 7);
+  EXPECT_EQ(*parsed->GetInt("threads", 0), 4);
+  EXPECT_EQ(*parsed->GetInt("missing", 7), 7);
   EXPECT_EQ(parsed->GetString("solver", "mln"), "psl");
   EXPECT_EQ(parsed->GetString("missing", "mln"), "mln");
   EXPECT_EQ(parsed->GetNumber("threads", 0.0), 4.0);
+}
+
+TEST(Json, IntegersAreRangeChecked) {
+  auto parsed = Json::Parse(
+      "{\"huge\":1e30,\"frac\":1.5,\"neg\":-1,\"max\":9007199254740992,"
+      "\"over\":9007199254740994,\"str\":\"3\"}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  parsed->Set("inf", Json::Number(HUGE_VAL));
+  EXPECT_EQ(*parsed->GetInt("neg", 0), -1);
+  EXPECT_EQ(*parsed->GetInt("max", 0), int64_t{1} << 53);
+  for (const char* key : {"huge", "frac", "over", "inf"}) {
+    auto value = parsed->GetInt(key, 0);
+    ASSERT_FALSE(value.ok()) << key;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(key), std::string::npos)
+        << value.status().message();
+  }
+  // Not a number: the fallback, as for an absent key.
+  EXPECT_EQ(*parsed->GetInt("str", 7), 7);
+
+  // int_value() is defined for every double: truncated, then clamped.
+  EXPECT_EQ(parsed->Find("huge")->int_value(), int64_t{1} << 53);
+  EXPECT_EQ(Json::Number(-1e30).int_value(), -(int64_t{1} << 53));
+  EXPECT_EQ(parsed->Find("frac")->int_value(), 1);
+  EXPECT_EQ(Json::Number(std::nan("")).int_value(), 0);
 }
 
 TEST(Json, UnicodeEscapes) {

@@ -167,8 +167,8 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
       "CR playsFor Palermo [1984,1986] 0.5 .\\n"
       "CR birthDate 1951 [1951,2017] 1.0 .\\n"
       "CR coach Napoli [2001,2003] 0.6 .\\n\"}"));
-  EXPECT_EQ(graph.GetInt("num_facts", -1), 5);
-  EXPECT_EQ(graph.GetInt("version", -1), 1);
+  EXPECT_EQ(*graph.GetInt("num_facts", -1), 5);
+  EXPECT_EQ(*graph.GetInt("version", -1), 1);
 
   // 2. rules, with predicate auto-completion.
   util::Json complete =
@@ -180,18 +180,18 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
       port_, "POST", "/v1/kb/default/rules",
       "{\"text\":\"c2: quad(x, coach, y, t) & quad(x, coach, z, t') & "
       "y != z -> disjoint(t, t') .\"}"));
-  EXPECT_EQ(rules.GetInt("added", -1), 1);
-  EXPECT_EQ(rules.GetInt("num_rules", -1), 1);
+  EXPECT_EQ(*rules.GetInt("added", -1), 1);
+  EXPECT_EQ(*rules.GetInt("num_rules", -1), 1);
 
   // 3. compute: conflicts, then the most probable conflict-free KG.
   util::Json conflicts =
       BodyOf(Http(port_, "GET", "/v1/kb/default/conflicts"));
-  EXPECT_EQ(conflicts.GetInt("num_conflicts", -1), 1);
+  EXPECT_EQ(*conflicts.GetInt("num_conflicts", -1), 1);
   util::Json solve =
       BodyOf(Http(port_, "POST", "/v1/kb/default/solve",
                   "{\"solver\":\"mln\"}"));
   EXPECT_TRUE(solve.GetBool("feasible", false));
-  EXPECT_EQ(solve.GetInt("removed", -1), 1);
+  EXPECT_EQ(*solve.GetInt("removed", -1), 1);
   ASSERT_EQ(solve.Find("removed_facts")->items().size(), 1u);
   EXPECT_NE(solve.Find("removed_facts")->items()[0].string_value().find(
                 "Napoli"),
@@ -201,18 +201,18 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
   util::Json edits = BodyOf(
       Http(port_, "POST", "/v1/kb/default/edits",
            "{\"script\":\"+ CR coach Bari [2006,2008] 0.5 .\\n\"}"));
-  EXPECT_EQ(edits.GetInt("inserted", -1), 1);
-  EXPECT_GT(edits.GetInt("version", -1), solve.GetInt("version", -1));
+  EXPECT_EQ(*edits.GetInt("inserted", -1), 1);
+  EXPECT_GT(*edits.GetInt("version", -1), *solve.GetInt("version", -1));
   EXPECT_TRUE(edits.GetBool("feasible", false));
 
   // 4. browse statistics and mined constraint suggestions.
   util::Json stats = BodyOf(Http(port_, "GET", "/v1/kb/default/stats"));
-  EXPECT_EQ(stats.Find("stats")->GetInt("num_facts", -1), 6);
+  EXPECT_EQ(*stats.Find("stats")->GetInt("num_facts", -1), 6);
   util::Json mined = BodyOf(Http(port_, "POST", "/v1/kb/default/mine"));
   EXPECT_NE(mined.Find("rules"), nullptr);
   util::Json info = BodyOf(Http(port_, "GET", "/v1/kb/default/graph"));
   EXPECT_TRUE(info.GetBool("has_result", false));
-  EXPECT_EQ(info.GetInt("num_facts", -1), 6);
+  EXPECT_EQ(*info.GetInt("num_facts", -1), 6);
 }
 
 TEST_F(ServerTest, PathsArePercentDecodedOnce) {
@@ -220,7 +220,7 @@ TEST_F(ServerTest, PathsArePercentDecodedOnce) {
   // routing; RouteTable.ScopeLabelAndDispatchAgree pins the router side.
   ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .\n").ok());
   EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default/st%61ts")), 200);
-  EXPECT_EQ(BodyOf(Http(port_, "GET", "/v1/%6Bb")).GetInt("num_kbs", -1), 1);
+  EXPECT_EQ(*BodyOf(Http(port_, "GET", "/v1/%6Bb")).GetInt("num_kbs", -1), 1);
   // An encoded slash is a path separator: "default%2Fstats" is KB
   // "default"'s stats endpoint, "default%2Fb/stats" its endpoint "b/stats".
   EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default%2Fstats")), 200);
@@ -256,25 +256,25 @@ TEST_F(ServerTest, KbLifecycleAndIsolation) {
             200);
   util::Json alpha = BodyOf(Http(port_, "GET", "/v1/kb/alpha/graph"));
   util::Json beta = BodyOf(Http(port_, "GET", "/v1/kb/beta/graph"));
-  EXPECT_EQ(alpha.GetInt("num_facts", -1), 2);
-  EXPECT_EQ(beta.GetInt("num_facts", -1), 1);
-  EXPECT_EQ(alpha.GetInt("version", -1), 1);
-  EXPECT_EQ(beta.GetInt("version", -1), 1);
+  EXPECT_EQ(*alpha.GetInt("num_facts", -1), 2);
+  EXPECT_EQ(*beta.GetInt("num_facts", -1), 1);
+  EXPECT_EQ(*alpha.GetInt("version", -1), 1);
+  EXPECT_EQ(*beta.GetInt("version", -1), 1);
 
   // Editing alpha must not bump beta's version.
   EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/alpha/edits",
                           "{\"script\":\"+ a p d [5,6] 0.7 .\\n\"}")),
             200);
-  EXPECT_EQ(BodyOf(Http(port_, "GET", "/v1/kb/alpha/graph"))
+  EXPECT_EQ(*BodyOf(Http(port_, "GET", "/v1/kb/alpha/graph"))
                 .GetInt("version", -1),
             2);
-  EXPECT_EQ(BodyOf(Http(port_, "GET", "/v1/kb/beta/graph"))
+  EXPECT_EQ(*BodyOf(Http(port_, "GET", "/v1/kb/beta/graph"))
                 .GetInt("version", -1),
             1);
 
   // List shows all three, sorted.
   util::Json list = BodyOf(Http(port_, "GET", "/v1/kb"));
-  ASSERT_EQ(list.GetInt("num_kbs", -1), 3);
+  ASSERT_EQ(*list.GetInt("num_kbs", -1), 3);
   const auto& kbs = list.Find("kbs")->items();
   EXPECT_EQ(kbs[0].GetString("kb", ""), "alpha");
   EXPECT_EQ(kbs[1].GetString("kb", ""), "beta");
@@ -285,7 +285,7 @@ TEST_F(ServerTest, KbLifecycleAndIsolation) {
   EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/beta/graph")), 404);
   EXPECT_EQ(StatusOf(Http(port_, "DELETE", "/v1/kb/beta")), 404);
   EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/alpha/graph")), 200);
-  EXPECT_EQ(BodyOf(Http(port_, "GET", "/v1/kb")).GetInt("num_kbs", -1), 2);
+  EXPECT_EQ(*BodyOf(Http(port_, "GET", "/v1/kb")).GetInt("num_kbs", -1), 2);
 }
 
 TEST_F(ServerTest, ErrorEnvelopeIsUniform) {
@@ -372,7 +372,7 @@ TEST_F(ServerTest, ChunkedRequestBodiesAreDecoded) {
   request += "0\r\nX-Trailer: ignored\r\n\r\n";
   const std::string response = RawRequest(port_, request);
   EXPECT_EQ(StatusOf(response), 200) << response;
-  EXPECT_EQ(BodyOf(response).GetInt("num_facts", -1), 2);
+  EXPECT_EQ(*BodyOf(response).GetInt("num_facts", -1), 2);
 
   // Keep-alive framing survives a chunked request: a second request on
   // the same connection still parses.
@@ -432,8 +432,8 @@ TEST_F(ServerTest, ConcurrentReadsDuringWrites) {
         util::Json body = BodyOf(response);
         // Self-consistency: live facts reported by a snapshot never
         // disagree with its own fact count fields.
-        if (body.GetInt("num_live_facts", -1) >
-            body.GetInt("num_facts", -2)) {
+        if (*body.GetInt("num_live_facts", -1) >
+            *body.GetInt("num_facts", -2)) {
           ++failures;
           return;
         }
@@ -511,7 +511,7 @@ int64_t VersionOf(const std::string& frame) {
   auto parsed = util::Json::Parse(
       Trim(std::string_view(frame).substr(data + 6)));
   if (!parsed.ok()) return -1;
-  return parsed->GetInt("version", -1);
+  return *parsed->GetInt("version", -1);
 }
 
 TEST_F(ServerTest, SseSubscriberSeesEveryVersionInOrder) {
@@ -568,8 +568,8 @@ TEST_F(ServerTest, SseMaxEventsAndDigestShape) {
       data + 6)));
   ASSERT_TRUE(digest.ok());
   EXPECT_EQ(digest->GetString("kb", ""), "cap");
-  EXPECT_EQ(digest->GetInt("num_facts", -1), 1);
-  EXPECT_EQ(digest->GetInt("num_live_facts", -1), 1);
+  EXPECT_EQ(*digest->GetInt("num_facts", -1), 1);
+  EXPECT_EQ(*digest->GetInt("num_live_facts", -1), 1);
   // max_events=1: the server ends the stream after the initial event.
   EXPECT_EQ(reader.NextFrame(), "");
   reader.Close();
@@ -662,7 +662,7 @@ TEST_F(ServerTest, MineEndpointDiscoversAndAdoptsRules) {
   ASSERT_EQ(StatusOf(response), 200) << response;
   const util::Json body = BodyOf(response);
   EXPECT_FALSE(body.GetBool("adopted", true));
-  ASSERT_GE(body.GetInt("num_rules", 0), 1) << response;
+  ASSERT_GE(*body.GetInt("num_rules", 0), 1) << response;
   const util::Json* rules = body.Find("rules");
   ASSERT_NE(rules, nullptr);
   ASSERT_TRUE(rules->is_array());
@@ -682,15 +682,15 @@ TEST_F(ServerTest, MineEndpointDiscoversAndAdoptsRules) {
   ASSERT_EQ(StatusOf(adopt), 200) << adopt;
   const util::Json adopted = BodyOf(adopt);
   EXPECT_TRUE(adopted.GetBool("adopted", false));
-  EXPECT_GE(adopted.GetInt("added", 0), 1);
-  EXPECT_GT(adopted.GetInt("adopted_version", 0),
-            adopted.GetInt("version", 0));
+  EXPECT_GE(*adopted.GetInt("added", 0), 1);
+  EXPECT_GT(*adopted.GetInt("adopted_version", 0),
+            *adopted.GetInt("version", 0));
   const util::Json rules_now =
       BodyOf(Http(port_, "GET", "/v1/kb/miner/rules"));
-  EXPECT_GE(rules_now.GetInt("num_rules", 0), 1);
+  EXPECT_GE(*rules_now.GetInt("num_rules", 0), 1);
   const util::Json conflicts =
       BodyOf(Http(port_, "GET", "/v1/kb/miner/conflicts"));
-  EXPECT_EQ(conflicts.GetInt("num_conflicts", -1), 0);  // clean data
+  EXPECT_EQ(*conflicts.GetInt("num_conflicts", -1), 0);  // clean data
 }
 
 TEST_F(ServerTest, MineRejectsNegativeCaps) {
@@ -731,17 +731,17 @@ TEST_F(ServerTest, AsOfTimeTravelReads) {
   // Happy path: the frozen version, not the current one.
   util::Json old_graph =
       BodyOf(Http(port_, "GET", "/v1/kb/tt/graph?as_of=1"));
-  EXPECT_EQ(old_graph.GetInt("version", -1), 1);
-  EXPECT_EQ(old_graph.GetInt("num_live_facts", -1), 1);
+  EXPECT_EQ(*old_graph.GetInt("version", -1), 1);
+  EXPECT_EQ(*old_graph.GetInt("num_live_facts", -1), 1);
   util::Json now_graph = BodyOf(Http(port_, "GET", "/v1/kb/tt/graph"));
-  EXPECT_EQ(now_graph.GetInt("version", -1), 3);
-  EXPECT_EQ(now_graph.GetInt("num_live_facts", -1), 2);
+  EXPECT_EQ(*now_graph.GetInt("version", -1), 3);
+  EXPECT_EQ(*now_graph.GetInt("num_live_facts", -1), 2);
   util::Json old_stats =
       BodyOf(Http(port_, "GET", "/v1/kb/tt/stats?as_of=1"));
-  EXPECT_EQ(old_stats.GetInt("version", -1), 1);
+  EXPECT_EQ(*old_stats.GetInt("version", -1), 1);
   const util::Json* stats_body = old_stats.Find("stats");
   ASSERT_NE(stats_body, nullptr);
-  EXPECT_EQ(stats_body->GetInt("num_facts", -1), 1);
+  EXPECT_EQ(*stats_body->GetInt("num_facts", -1), 1);
   // Version 1 predates the rule upload, so its conflict set is empty and
   // its rule list too — every other read endpoint resolves the same way.
   EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/tt/rules?as_of=1")), 200);

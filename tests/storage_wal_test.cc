@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/checkpoint.h"
 #include "storage/fault.h"
 #include "storage/fs.h"
 #include "storage/kb_storage.h"
@@ -327,6 +328,37 @@ TEST(VerifyKbDir, ReportsCleanAndCorruptStores) {
   EXPECT_TRUE(report->wal_torn_tail);
   EXPECT_LT(report->wal_valid_bytes, report->wal_file_bytes);
   ASSERT_TRUE(KbStorage::Destroy(dir).ok());
+}
+
+TEST(Checkpoint, ManifestNumberThatIsNotAnExactIntegerIsCorrupt) {
+  const std::string dir = TestPath("checkpoint_manifest_ints");
+  RemoveDirRecursive(dir);
+  Checkpoint cp;
+  cp.version = 3;
+  cp.has_graph = true;
+  cp.graph_text = "a p b [1,2] 0.9 .\n";
+  ASSERT_TRUE(WriteCheckpoint(dir, cp).ok());
+  ASSERT_TRUE(LoadCheckpoint(dir).ok());
+  auto manifest = ReadFile(JoinPath(dir, "MANIFEST"));
+  ASSERT_TRUE(manifest.ok());
+  const std::string good = *manifest;
+  for (const auto& [field, bad] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"version\":3", "\"version\":1e30"},
+           {"\"format\":1", "\"format\":1.5"}}) {
+    const size_t at = good.find(field);
+    ASSERT_NE(at, std::string::npos) << good;
+    std::string corrupt = good;
+    corrupt.replace(at, field.size(), bad);
+    ASSERT_TRUE(
+        util::WriteStringToFile(JoinPath(dir, "MANIFEST"), corrupt).ok());
+    auto loaded = LoadCheckpoint(dir);
+    ASSERT_FALSE(loaded.ok()) << corrupt;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find("corrupt"), std::string::npos)
+        << loaded.status().message();
+  }
+  RemoveDirRecursive(dir);
 }
 
 }  // namespace
